@@ -6,8 +6,7 @@
 // the property the thread-count invariance test diffs on.
 //
 // Lives in obs (the lowest shared reporting layer) so both the trace/metrics
-// exporters and the sweep runner emit through the same writer;
-// runner/json_writer.h re-exports it under its historical name.
+// exporters and the sweep runner emit through the same writer.
 #pragma once
 
 #include <cmath>

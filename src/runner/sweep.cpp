@@ -13,8 +13,8 @@
 #include "analysis/stats.h"
 #include "core/check.h"
 #include "maintenance/ticket.h"
+#include "obs/json_writer.h"
 #include "runner/channel.h"
-#include "runner/json_writer.h"
 #include "runner/shard_pool.h"
 
 namespace smn::runner {
@@ -437,7 +437,7 @@ SweepReport SweepRunner::run(const SweepSpec& spec, const Options& opts) {
 }
 
 std::string to_json(const SweepReport& report, const JsonOptions& opts) {
-  JsonWriter w;
+  obs::JsonWriter w;
   w.begin_object();
   w.kv("schema", "smn-sweep-v1");
   w.kv("first_seed", report.first_seed);
@@ -470,7 +470,7 @@ std::string to_json(const SweepReport& report, const JsonOptions& opts) {
       w.key("sampled_trace");
       w.begin_object();
       w.kv("seed", sampled->seed);
-      w.kv("trace_hash", JsonWriter::hex64(sampled->sampled_trace_hash));
+      w.kv("trace_hash", obs::JsonWriter::hex64(sampled->sampled_trace_hash));
       w.kv("file", sampled_trace_filename(cell.name, sampled->seed));
       w.end_object();
     }
@@ -515,7 +515,7 @@ std::string to_json(const SweepReport& report, const JsonOptions& opts) {
       w.kv("auc_connectivity", f.auc_connectivity);
       w.kv("auc_reachability", f.auc_reachability);
       w.kv("auc_bisection", f.auc_bisection);
-      w.kv("hash", JsonWriter::hex64(f.hash));
+      w.kv("hash", obs::JsonWriter::hex64(f.hash));
       w.key("curves");
       w.begin_object();
       const auto emit_curve = [&w](const char* name, const analysis::CurveSummary& c) {
@@ -542,11 +542,11 @@ std::string to_json(const SweepReport& report, const JsonOptions& opts) {
     for (const ReplicateResult& r : cell.replicates) {
       w.begin_object();
       w.kv("seed", r.seed);
-      w.kv("trace_hash", JsonWriter::hex64(r.trace_hash));
-      if (r.metrics_hash != 0) w.kv("metrics_hash", JsonWriter::hex64(r.metrics_hash));
+      w.kv("trace_hash", obs::JsonWriter::hex64(r.trace_hash));
+      if (r.metrics_hash != 0) w.kv("metrics_hash", obs::JsonWriter::hex64(r.metrics_hash));
       w.kv("events", r.events);
       if (r.survivability.present()) {
-        w.kv("survivability_hash", JsonWriter::hex64(r.survivability.hash));
+        w.kv("survivability_hash", obs::JsonWriter::hex64(r.survivability.hash));
       }
       w.end_object();
     }

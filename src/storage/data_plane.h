@@ -25,7 +25,7 @@
 // FomEngine (counted in sim_wakeups_storage_total), no wall clock, no
 // hash-order iteration. With the fabric healthy and no dirty groups the
 // steady state is one read batch per interval and zero allocations — the
-// property bench_storage_repair gates.
+// property tests/alloc_test.cpp gates.
 #pragma once
 
 #include <cstdint>

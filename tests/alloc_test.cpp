@@ -1,0 +1,129 @@
+// Zero-allocation contracts of the three steady-state hot loops: once a
+// warm-up has grown every arena and scratch buffer to its working size, the
+// loop must not touch the heap again.
+//   * the event engine: schedule/cancel/execute with fom-sized captures;
+//   * the storage data plane: the healthy-fabric clean-read tick;
+//   * the survivability frontier: make_ordering + replay, both failure modes.
+//
+// The counter is a program-wide replacement of global operator new, so these
+// tests build as their own executable (smn_alloc_tests) and never share a
+// process with smn_tests.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "analysis/survivability.h"
+#include "net/network.h"
+#include "runner/presets.h"
+#include "sim/event_queue.h"
+#include "sim/rng.h"
+#include "storage/data_plane.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace smn {
+namespace {
+
+[[nodiscard]] std::uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
+
+TEST(ZeroAlloc, EventQueueScheduleCancelExecute) {
+  constexpr int kRounds = 32;
+  constexpr int kBatch = 4096;
+  sim::Simulator sim;
+  std::uint64_t sink = 0;
+  std::vector<sim::EventId> cancels;  // capacity reached in warm-up, then reused
+  auto one_round = [&] {
+    cancels.clear();
+    for (int i = 0; i < kBatch; ++i) {
+      // The fom wakeup shape: one pointer + one index, well inside the
+      // inline budget.
+      sim.schedule_after(sim::Duration::seconds(60.0 + i), [&sink, i] {
+        sink += static_cast<std::uint64_t>(i);
+      });
+      cancels.push_back(sim.schedule_after(sim::Duration::seconds(90.0 + i), [&sink, i] {
+        sink += static_cast<std::uint64_t>(i) * 3;
+      }));
+    }
+    // Half the pending work is cancelled (re-armed wakeups), half executes;
+    // the round then drains fully so every round sees the same working set.
+    for (const sim::EventId id : cancels) sim.cancel(id);
+    sim.run_until(sim.now() + sim::Duration::hours(2.0));
+  };
+  one_round();  // warm-up: arena, heap and cancels vector reach working size
+
+  const std::uint64_t before = allocs();
+  for (int r = 0; r < kRounds; ++r) one_round();
+  EXPECT_EQ(allocs() - before, 0u) << "heap allocations across " << kRounds * 2 * kBatch
+                                   << " steady-state events";
+  // Every round ran exactly its uncancelled half.
+  constexpr std::uint64_t kRoundSum = std::uint64_t{kBatch} * (kBatch - 1) / 2;
+  EXPECT_EQ(sink, (kRounds + 1) * kRoundSum);
+}
+
+TEST(ZeroAlloc, StorageCleanReadTick) {
+  sim::Simulator sim;
+  const topology::Blueprint bp = runner::standard_fabric();
+  net::Network net{bp, net::Network::Config{}, sim};
+  sim::RngFactory rngs{17};
+  storage::DataPlane::Config cfg;
+  cfg.enabled = true;
+  cfg.layout.stripes = 256;  // 8+2, the default layout
+  cfg.read_interval = sim::Duration::minutes(1);
+  cfg.reads_per_tick = 64;
+  storage::DataPlane dp{net, rngs.stream("storage"), cfg};
+  dp.start();
+  sim.run_until(sim.now() + sim::Duration::hours(2.0));  // warm-up
+
+  const std::uint64_t reads_before = dp.reads();
+  const std::uint64_t before = allocs();
+  sim.run_until(sim.now() + sim::Duration::days(4.0));
+  const std::uint64_t steady = allocs() - before;
+  const std::uint64_t reads = dp.reads() - reads_before;
+  EXPECT_EQ(steady, 0u) << "heap allocations across " << reads << " steady-state reads";
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(dp.degraded_reads(), 0u);  // the fabric stayed healthy
+  dp.check_invariants();
+}
+
+TEST(ZeroAlloc, SurvivabilityReplayBothModes) {
+  constexpr int kOrderings = 400;
+  const topology::Blueprint bp = runner::standard_fabric();
+  analysis::SurvivabilityFrontier engine{bp};
+  for (const analysis::FailureMode mode :
+       {analysis::FailureMode::kLinks, analysis::FailureMode::kSwitches}) {
+    std::vector<std::int32_t> order;
+    analysis::SurvivabilityCurves curves;
+    engine.make_ordering(mode, 1, order);
+    engine.replay(mode, order, curves);  // warm-up: scratch reaches steady size
+
+    const std::uint64_t before = allocs();
+    for (int i = 0; i < kOrderings; ++i) {
+      engine.make_ordering(mode, static_cast<std::uint64_t>(i + 2), order);
+      engine.replay(mode, order, curves);
+    }
+    EXPECT_EQ(allocs() - before, 0u)
+        << analysis::to_string(mode) << ": heap allocations across " << kOrderings
+        << " steady-state replays";
+    EXPECT_EQ(curves.largest_component.size(), engine.element_count(mode) + 1);
+  }
+}
+
+}  // namespace
+}  // namespace smn

@@ -2,9 +2,11 @@
 // answers must be indistinguishable from the reference BFS
 // (`path_available_bfs`) across thousands of random fault / repair / rewire /
 // admin-down / device-health sequences on every topology preset and every
-// PathPolicy class. Also pins the cache contract itself: query bursts against
-// an unchanged network perform no rebuilds, and the parallel-link group index
-// always matches a brute-force scan of the link table.
+// PathPolicy class, and `sampled_pair_connectivity` must match its BFS twin
+// bit for bit on the standard hall. Also pins the cache contract itself:
+// query bursts against an unchanged network perform no rebuilds, and the
+// parallel-link group index always matches a brute-force scan of the link
+// table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include "net/connectivity.h"
 #include "net/network.h"
 #include "net/routing.h"
+#include "runner/presets.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "topology/builders.h"
@@ -191,6 +194,45 @@ TEST(ConnectivityDifferential, Xpander) {
 TEST(ConnectivityDifferential, GpuCluster) {
   run_differential(topology::build_gpu_cluster({.gpu_servers = 8, .rails = 4, .spines = 2}),
                    505, 400);
+}
+
+// Both samplers draw the same pairs from the stream, so identically seeded
+// streams must yield bit-identical fractions round after round and leave the
+// two streams in the same state. `down_every` > 0 cuts every n-th link's cable
+// first (bench_e12_micro's degraded plant uses 7).
+void expect_sampled_pairs_match_bfs(std::size_t down_every) {
+  sim::Simulator sim;
+  const topology::Blueprint bp = runner::standard_fabric();
+  Network net{bp, Network::Config{}, sim};
+  if (down_every > 0) {
+    for (std::size_t i = 0; i < net.links().size(); i += down_every) {
+      net.link_mut(LinkId{static_cast<std::int32_t>(i)}).cable.intact = false;
+    }
+    net.refresh_all();
+  }
+  sim::RngFactory rngs{7};
+  sim::RngStream engine_rng = rngs.stream("sampled-pairs");
+  sim::RngStream bfs_rng = rngs.stream("sampled-pairs");
+  double lowest = 1.0;
+  for (int round = 0; round < 64; ++round) {
+    const double engine = sampled_pair_connectivity(net, engine_rng, 64);
+    ASSERT_EQ(engine, sampled_pair_connectivity_bfs(net, bfs_rng, 64)) << "round " << round;
+    lowest = std::min(lowest, engine);
+  }
+  EXPECT_TRUE(engine_rng.engine() == bfs_rng.engine());
+  // A degraded plant must actually strand some sampled pairs, or the
+  // comparison above could not tell a wrong engine from a right one.
+  if (down_every > 0) {
+    EXPECT_LT(lowest, 1.0);
+  }
+}
+
+TEST(ConnectivityDifferential, SampledPairsMatchBfsPristineStandardFabric) {
+  expect_sampled_pairs_match_bfs(0);
+}
+
+TEST(ConnectivityDifferential, SampledPairsMatchBfsDegradedStandardFabric) {
+  expect_sampled_pairs_match_bfs(7);
 }
 
 TEST(ConnectivityEngineTest, QueryBurstAgainstQuietNetworkRebuildsOnce) {

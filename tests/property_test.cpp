@@ -29,6 +29,11 @@ struct BlueprintCase {
   topology::Blueprint (*build)();
 };
 
+// Without a printer, gtest renders each case (and with it the ctest name
+// gtest_discover_tests records) as the raw bytes of the two pointers above,
+// which move with ASLR on every run and with any layout change of the binary.
+void PrintTo(const BlueprintCase& c, std::ostream* os) { *os << c.name; }
+
 topology::Blueprint bp_fat4() { return topology::build_fat_tree({.k = 4}); }
 topology::Blueprint bp_fat8() { return topology::build_fat_tree({.k = 8}); }
 topology::Blueprint bp_ls_small() {

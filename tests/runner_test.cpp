@@ -15,9 +15,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "runner/channel.h"
-#include "runner/json_writer.h"
 #include "runner/presets.h"
 #include "runner/sweep.h"
 #include "scenario/world.h"
@@ -27,7 +27,7 @@ namespace smn {
 namespace {
 
 using runner::BoundedChannel;
-using runner::JsonWriter;
+using obs::JsonWriter;
 using runner::SweepReport;
 using runner::SweepRunner;
 using runner::SweepSpec;

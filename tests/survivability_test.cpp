@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/survivability.h"
+#include "runner/presets.h"
 #include "sim/rng.h"
 #include "topology/builders.h"
 
@@ -136,7 +137,8 @@ struct OracleStep {
 
 // -------------------------------------------------------------------------
 // Test fabrics: one per preset family (sized so the O(M^2) oracle stays
-// fast), plus a hybrid to cover the Watts-Strogatz builder.
+// fast), a hybrid to cover the Watts-Strogatz builder, and the 144-link
+// standard hall, which is still small enough for the oracle.
 
 struct NamedFabric {
   std::string name;
@@ -164,6 +166,7 @@ struct NamedFabric {
                                                        .rewire_fraction = 0.3,
                                                        .servers_per_switch = 2,
                                                        .seed = 3})});
+  fabrics.push_back({"standard", runner::standard_fabric()});
   return fabrics;
 }
 
@@ -173,7 +176,7 @@ constexpr FailureMode kModes[] = {FailureMode::kLinks, FailureMode::kSwitches};
 // The differential suite: engine == oracle, bit for bit, at every point.
 
 TEST(SurvivabilityDifferential, EngineMatchesBruteForceOracleExactly) {
-  constexpr int kOrderingsPerCombo = 20;  // 6 fabrics x 2 modes x 20 = 240 orderings
+  constexpr int kOrderingsPerCombo = 20;  // 7 fabrics x 2 modes x 20 = 280 orderings
   for (const NamedFabric& f : test_fabrics()) {
     SurvivabilityFrontier engine{f.bp};
     SurvivabilityCurves engine_curves;

@@ -69,7 +69,7 @@
 // cores and emits the machine-readable smn-sweep-v1 JSON report:
 //
 //   smnctl sweep --preset availability --seeds 32 --days 45 --jobs 8
-//                --json BENCH_sweep.json
+//                --json sweep.json
 //
 // Sweep flags (defaults in brackets):
 //   --preset availability|topologies|quick|campus|storage|
@@ -100,7 +100,7 @@
 #include "analysis/stats.h"
 #include "analysis/survivability.h"
 #include "analysis/timeseries.h"
-#include "runner/json_writer.h"
+#include "obs/json_writer.h"
 #include "runner/presets.h"
 #include "runner/sweep.h"
 #include "scenario/world.h"
@@ -374,7 +374,7 @@ int run_sweep(const Args& args) {
                          std::size_t total) {
       std::printf("  [%zu/%zu] %s seed %llu  trace %s\n", done, total,
                   spec.cells[r.cell].name.c_str(), static_cast<unsigned long long>(r.seed),
-                  runner::JsonWriter::hex64(r.trace_hash).c_str());
+                  obs::JsonWriter::hex64(r.trace_hash).c_str());
     };
   }
   const runner::SweepReport report = sweeper.run(spec, opts);
@@ -414,7 +414,7 @@ int run_sweep(const Args& args) {
         if (r.sampled_trace_json.empty()) continue;
         std::printf("sampled trace %s/%s (hash %s)\n", dir.c_str(),
                     runner::sampled_trace_filename(cell.name, r.seed).c_str(),
-                    runner::JsonWriter::hex64(r.sampled_trace_hash).c_str());
+                    obs::JsonWriter::hex64(r.sampled_trace_hash).c_str());
       }
     }
   }
@@ -472,7 +472,7 @@ int run_analyze(const Args& args) {
   using analysis::Table;
   Table table{{"fabric", "mode", "elem", "conn@25%", "conn@50%", "reach@25%", "reach@50%",
                "bisec@50%", "auc conn", "auc reach", "auc bisec", "curve hash"}};
-  runner::JsonWriter w;
+  obs::JsonWriter w;
   w.begin_object();
   w.kv("schema", "smn-survivability-v1");
   w.kv("orderings", static_cast<std::int64_t>(scfg.orderings));
@@ -492,7 +492,7 @@ int run_analyze(const Args& args) {
                      Table::num(analysis::curve_value_at(r.server_reachability, 0.50), 4),
                      Table::num(analysis::curve_value_at(r.bisection, 0.50), 4),
                      Table::num(r.auc_connectivity, 4), Table::num(r.auc_reachability, 4),
-                     Table::num(r.auc_bisection, 4), runner::JsonWriter::hex64(r.hash)});
+                     Table::num(r.auc_bisection, 4), obs::JsonWriter::hex64(r.hash)});
       w.begin_object();
       w.kv("fabric", f.name);
       w.kv("mode", analysis::to_string(mode));
@@ -502,7 +502,7 @@ int run_analyze(const Args& args) {
       w.kv("auc_connectivity", r.auc_connectivity);
       w.kv("auc_reachability", r.auc_reachability);
       w.kv("auc_bisection", r.auc_bisection);
-      w.kv("hash", runner::JsonWriter::hex64(r.hash));
+      w.kv("hash", obs::JsonWriter::hex64(r.hash));
       w.key("curves");
       w.begin_object();
       const auto emit_curve = [&w](const char* name, const analysis::CurveSummary& c) {
