@@ -1,5 +1,5 @@
-// Small statistics toolkit used by experiments: streaming moments plus exact
-// percentiles over retained samples.
+// Small statistics toolkit used by experiments: streaming moments, exact
+// percentiles over retained samples, and Student-t confidence intervals.
 #pragma once
 
 #include <algorithm>
@@ -9,6 +9,61 @@
 #include <vector>
 
 namespace smn::analysis {
+
+namespace detail {
+
+/// Continued fraction of the regularised incomplete beta function (modified
+/// Lentz; Numerical Recipes 3rd ed. §6.4).
+[[nodiscard]] inline double beta_cf(double a, double b, double x) {
+  constexpr double kTiny = 1e-300;
+  const auto guard = [](double v) { return std::abs(v) < kTiny ? kTiny : v; };
+  double c = 1.0;
+  double d = 1.0 / guard(1.0 - (a + b) * x / (a + 1.0));
+  double h = d;
+  for (int m = 1; m < 1000; ++m) {
+    const double m2 = 2.0 * m;
+    double aa = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2));
+    d = 1.0 / guard(1.0 + aa * d);
+    c = guard(1.0 + aa / c);
+    h *= d * c;
+    aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2));
+    d = 1.0 / guard(1.0 + aa * d);
+    c = guard(1.0 + aa / c);
+    const double step = d * c;
+    h *= step;
+    if (std::abs(step - 1.0) < 1e-15) break;
+  }
+  return h;
+}
+
+/// I_x(a, b), the regularised incomplete beta function.
+[[nodiscard]] inline double incomplete_beta(double a, double b, double x) {
+  if (x <= 0.0) return 0.0;
+  if (x >= 1.0) return 1.0;
+  const double front = std::exp(std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+                                a * std::log(x) + b * std::log1p(-x));
+  return x < (a + 1.0) / (a + b + 2.0) ? front * beta_cf(a, b, x) / a
+                                       : 1.0 - front * beta_cf(b, a, 1.0 - x) / b;
+}
+
+}  // namespace detail
+
+/// t_{0.975}(df): the Student-t quantile behind a two-sided 95% interval.
+/// Bisects P(|T| > t) = I_{df/(df+t^2)}(df/2, 1/2) = 0.05.
+[[nodiscard]] inline double student_t_975(double df) {
+  if (!(df > 0.0)) return 0.0;
+  const auto tail = [df](double t) {
+    return detail::incomplete_beta(0.5 * df, 0.5, df / (df + t * t));
+  };
+  double lo = 0.0;
+  double hi = 2.0;
+  while (tail(hi) > 0.05) hi *= 2.0;
+  for (int i = 0; i < 100 && hi - lo > 1e-12 * hi; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (tail(mid) > 0.05 ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
 
 class SampleStats {
  public:
@@ -32,6 +87,15 @@ class SampleStats {
     const double m = mean();
     const double var = (sum_sq_ - static_cast<double>(n) * m * m) / static_cast<double>(n - 1);
     return var > 0.0 ? std::sqrt(var) : 0.0;
+  }
+
+  /// Half-width of the 95% Student-t interval on the mean,
+  /// t_{0.975}(n-1) * sd / sqrt(n); 0 below two samples.
+  [[nodiscard]] double ci95() const {
+    const std::size_t n = samples_.size();
+    if (n < 2) return 0.0;
+    return student_t_975(static_cast<double>(n - 1)) * stddev() /
+           std::sqrt(static_cast<double>(n));
   }
 
   [[nodiscard]] double min() const { return order_statistic(0.0); }

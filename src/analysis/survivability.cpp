@@ -88,9 +88,7 @@ FrontierResult aggregate_curves(FailureMode mode, std::size_t elements, std::siz
       SampleStats stats;
       for (const double v : sorted) stats.push(v);
       summary.mean[k] = stats.mean();
-      summary.ci95[k] = stats.count() > 1 ? 1.96 * stats.stddev() /
-                                                std::sqrt(static_cast<double>(stats.count()))
-                                          : 0.0;
+      summary.ci95[k] = stats.ci95();
     }
   };
   aggregate_one(&SurvivabilityCurves::largest_component, out.largest_component);

@@ -7,6 +7,7 @@
 // transient vibration events registered by physical maintenance activity.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/time.h"
@@ -40,6 +41,19 @@ class Environment {
   /// hot, humid, shaky halls make marginal links act up (§1).
   [[nodiscard]] double stress_factor(sim::TimePoint t) const;
 
+  /// An upper bound on stress_factor(t) for every t >= now, as long as no
+  /// episode is added: the diurnal maximum plus 2 x (ambient + every episode
+  /// not yet ended). It stays valid past `tightens_at`, the earliest end among
+  /// the episodes it counts; recomputing then gives a lower bound.
+  struct StressCeiling {
+    double value = 0.0;
+    sim::TimePoint tightens_at;
+  };
+  [[nodiscard]] StressCeiling stress_ceiling(sim::TimePoint now) const;
+  /// Advances on every add_vibration that registers an episode, so a cached
+  /// StressCeiling can tell when it may no longer bound.
+  [[nodiscard]] std::uint64_t vibration_epoch() const { return vibration_epoch_; }
+
   /// Drops expired vibration episodes; call occasionally to bound memory.
   void prune(sim::TimePoint now);
 
@@ -53,6 +67,7 @@ class Environment {
   };
   Config cfg_;
   std::vector<VibrationEvent> events_;
+  std::uint64_t vibration_epoch_ = 0;
 };
 
 }  // namespace smn::fault

@@ -53,7 +53,7 @@ ActionResult apply_action(net::Network& net, fault::ContaminationProcess* contam
         break;
       }
       c.transceiver_seated = true;
-      c.oxidation = 0.0;  // contact scrape (§3.2 effect (i))
+      net::reset_contacts(c);  // contact scrape (§3.2 effect (i))
       end_gray_episode(l, now);
       // The unplug/replug exposes the end-face to hall air.
       if (contamination != nullptr) contamination->expose(id, end, quality.exposure_risk);
@@ -102,7 +102,7 @@ ActionResult apply_action(net::Network& net, fault::ContaminationProcess* contam
       c.transceiver_present = true;
       c.transceiver_seated = true;
       c.transceiver_healthy = true;
-      c.oxidation = 0.0;
+      net::reset_contacts(c);
       c.contamination = 0.0;
       c.reseat_count = 0;
       c.clean_count = 0;

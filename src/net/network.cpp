@@ -152,6 +152,7 @@ LinkState Network::refresh_link(LinkId id) {
     observe_transition(l, prev, next);
     for (const Observer& obs : observers_) obs(l, prev, next);
   }
+  if (refresh_hook_) refresh_hook_(id);
   return l.state;
 }
 
@@ -241,12 +242,15 @@ void Network::rewire(LinkId id, DeviceId new_a, DeviceId new_b) {
     return max_port + 1;
   };
 
+  // A new cable run: fresh conditions, in a new contact epoch.
+  for (LinkEnd* end : {&l.end_a, &l.end_b}) {
+    end->condition = EndCondition{.contact_epoch = end->condition.contact_epoch};
+    reset_contacts(end->condition);
+  }
   l.end_a.device = new_a;
   l.end_a.port = next_port(new_a);
-  l.end_a.condition = EndCondition{};
   l.end_b.device = new_b;
   l.end_b.port = next_port(new_b);
-  l.end_b.condition = EndCondition{};
   l.cable = CableCondition{};
   l.gray_until = sim_->now();
   device_links_.at(static_cast<size_t>(new_a.value())).push_back(id);

@@ -175,6 +175,15 @@ class Network {
 
   void subscribe(Observer obs) { observers_.push_back(std::move(obs)); }
 
+  /// Called at the end of every refresh_link, whether or not the derived
+  /// state changed. Every write to a component's failure-hazard inputs (end
+  /// conditions, cable, device or line-card health, rewire) ends in a
+  /// refresh, so this is the fault injector's cue to re-check the link and
+  /// its endpoint devices. A device with no links gets no refresh, so other
+  /// writes to its health go unseen; the injector marks the devices it fails
+  /// itself. One hook per Network; nullptr clears it.
+  void set_refresh_hook(std::function<void(LinkId)> hook) { refresh_hook_ = std::move(hook); }
+
   /// Wires observability: registers the net_* instruments and seeds the
   /// link-state gauges from the current fleet. Pure observer — records state
   /// changes, never causes them — so traces stay byte-identical with it off.
@@ -213,6 +222,7 @@ class Network {
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> device_links_;
   std::vector<Observer> observers_;
+  std::function<void(LinkId)> refresh_hook_;
 
   // Derived caches — see the class comment for invalidation rules.
   std::vector<DeviceId> servers_;

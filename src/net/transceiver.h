@@ -71,14 +71,27 @@ struct EndCondition {
   /// Contact oxidation in [0, 1]: gold-plated edge contacts corrode slowly
   /// (§3.2: "gold is not immune from oxidation and corrosion"). Raises the
   /// gray-episode hazard; *reset by reseating*, which scrapes the contacts.
+  /// The fault injector accrues it lazily: the value is current as of the
+  /// last gray-episode candidate on the link or usability change of the end.
   double oxidation = 0.0;
   int reseat_count = 0;
   int clean_count = 0;
+  /// Advanced by reset_contacts, so the injector can tell a reset happened
+  /// even when oxidation reads 0 before and after it.
+  std::uint32_t contact_epoch = 0;
 
   [[nodiscard]] bool usable() const {
     return transceiver_present && transceiver_seated && transceiver_healthy;
   }
 };
+
+/// Fresh or scraped contacts: zero oxidation and start a new contact epoch,
+/// discarding whatever the injector had accrued but not yet materialised.
+/// Every contact reset (reseat, module replacement, re-cabling) goes here.
+inline void reset_contacts(EndCondition& c) {
+  c.oxidation = 0.0;
+  ++c.contact_epoch;
+}
 
 /// Mutable condition of the cable between the two ends.
 struct CableCondition {

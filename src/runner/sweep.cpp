@@ -36,7 +36,7 @@ using WallClock = std::chrono::steady_clock;
   if (s.empty()) return m;
   m.mean = s.mean();
   m.stddev = s.stddev();
-  m.ci95 = s.count() > 1 ? 1.96 * s.stddev() / std::sqrt(static_cast<double>(s.count())) : 0.0;
+  m.ci95 = s.ci95();
   m.p50 = s.percentile(50.0);
   m.p95 = s.percentile(95.0);
   m.min = s.min();

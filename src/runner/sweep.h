@@ -163,7 +163,7 @@ struct SweepSpec {
 struct MetricSummary {
   double mean = 0.0;
   double stddev = 0.0;
-  double ci95 = 0.0;  // half-width of the 95% normal CI on the mean
+  double ci95 = 0.0;  // half-width of the 95% Student-t CI on the mean
   double p50 = 0.0;
   double p95 = 0.0;
   double min = 0.0;

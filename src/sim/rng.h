@@ -7,6 +7,7 @@
 // L0 vs L3 automation on the *same* fault trace) meaningful.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -80,10 +81,48 @@ class RngStream {
     }
   }
 
+  // ---- Owned algorithms --------------------------------------------------
+  // The helpers above delegate to <random>'s distributions, whose algorithms
+  // the standard leaves to the implementation. The ones below are specified
+  // here, over std::mt19937_64 (whose output the standard fixes), so a (seed,
+  // name) pair gives the same variates with any standard library. The fault
+  // injector draws only these; every other stream keeps the helpers above.
+  // Each call that consumes engine output counts once in owned_draws().
+
+  /// Never, as a geometric step count: p <= 0 or a tail too far to matter.
+  static constexpr std::int64_t kNever = std::int64_t{1} << 62;
+
+  /// Uniform double in [0, 1) from the top 53 bits of one engine output.
+  [[nodiscard]] double uniform53() {
+    ++owned_draws_;
+    return unit53();
+  }
+  /// Failures before the first success of independent Bernoulli(p) trials,
+  /// by inversion: floor(log1p(-u) / log1p(-p)). p >= 1 gives 0 and p <= 0
+  /// gives kNever, both without a draw.
+  [[nodiscard]] std::int64_t geometric(double p);
+  /// Gamma(shape, scale) by Marsaglia–Tsang (2000); shape < 1 via the
+  /// u^(1/shape) boost. shape <= 0 or scale <= 0 gives 0 without a draw.
+  [[nodiscard]] double gamma(double shape, double scale);
+  /// exp(Normal(log_mean, log_sigma)), the normal by Box–Muller (two
+  /// uniforms, the cosine branch).
+  [[nodiscard]] double lognormal_bm(double log_mean, double log_sigma) {
+    ++owned_draws_;
+    return std::exp(log_mean + log_sigma * unit_normal());
+  }
+  /// Variates the owned algorithms have returned from engine output.
+  [[nodiscard]] std::uint64_t owned_draws() const { return owned_draws_; }
+
   [[nodiscard]] std::mt19937_64& engine() { return engine_; }
 
  private:
+  [[nodiscard]] double unit53() {
+    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+  }
+  [[nodiscard]] double unit_normal();
+
   std::mt19937_64 engine_;
+  std::uint64_t owned_draws_ = 0;
 };
 
 /// Factory for named sub-streams, all derived from one master seed.

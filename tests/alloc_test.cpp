@@ -1,7 +1,9 @@
-// Zero-allocation contracts of the three steady-state hot loops: once a
-// warm-up has grown every arena and scratch buffer to its working size, the
-// loop must not touch the heap again.
+// Zero-allocation contracts of the steady-state hot loops: once a warm-up has
+// grown every arena and scratch buffer to its working size, the loop must not
+// touch the heap again.
 //   * the event engine: schedule/cancel/execute with fom-sized captures;
+//   * the fault calendars: the hourly drain, gray candidates and re-checks
+//     after repairs, reseats and vibration (the fault log's own growth aside);
 //   * the storage data plane: the healthy-fabric clean-read tick;
 //   * the survivability frontier: make_ordering + replay, both failure modes.
 //
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "analysis/survivability.h"
+#include "fault/environment.h"
+#include "fault/injector.h"
 #include "net/network.h"
 #include "runner/presets.h"
 #include "sim/event_queue.h"
@@ -75,6 +79,74 @@ TEST(ZeroAlloc, EventQueueScheduleCancelExecute) {
   // Every round ran exactly its uncancelled half.
   constexpr std::uint64_t kRoundSum = std::uint64_t{kBatch} * (kBatch - 1) / 2;
   EXPECT_EQ(sink, (kRounds + 1) * kRoundSum);
+}
+
+TEST(ZeroAlloc, FaultCalendarTick) {
+  sim::Simulator sim;
+  const topology::Blueprint bp = runner::standard_fabric();
+  net::Network net{bp, net::Network::Config{}, sim};
+  fault::Environment env;
+  sim::RngFactory rngs{23};
+  fault::FaultInjector::Config cfg;  // accelerated: faults every few hours
+  cfg.transceiver_afr = 0.5;
+  cfg.cable_afr = 0.2;
+  cfg.switch_afr = 0.3;
+  cfg.server_nic_afr = 0.1;
+  cfg.linecard_afr = 0.3;
+  cfg.gray_rate_per_year = 3.0;
+  fault::FaultInjector injector{net, env, rngs.stream("faults"), cfg};
+  std::uint64_t log_growths = 0;
+  std::size_t log_capacity = 0;
+  injector.subscribe([&](const fault::FaultEvent&) {
+    if (injector.log().capacity() != log_capacity) ++log_growths;
+    log_capacity = injector.log().capacity();
+  });
+  injector.start();
+  // A daily crew: restores dead hardware, reseats ends, shakes a row.
+  // Every touch ends in refresh_link, so the calendars re-check it.
+  std::int32_t next_reseat = 0;
+  sim.schedule_every(sim::Duration::days(1), [&] {
+    for (const net::Link& l : net.links()) {
+      net::Link& m = net.link_mut(l.id);
+      m.end_a.condition.transceiver_healthy = true;
+      m.end_b.condition.transceiver_healthy = true;
+      m.cable.intact = true;
+      net.refresh_link(l.id);
+    }
+    for (const net::Device& d : net.devices()) {
+      if (!d.healthy) net.set_device_health(d.id, true);
+      for (std::size_t c = 0; c < d.linecards_healthy.size(); ++c) {
+        if (!d.linecards_healthy[c]) net.set_linecard_health(d.id, static_cast<int>(c), true);
+      }
+    }
+    // Two dozen reseats a day: each redraws a calendar entry, so stale heap
+    // entries pile up and the heap compacts in place several times.
+    for (int i = 0; i < 24; ++i) {
+      const net::LinkId reseat{next_reseat++ % static_cast<std::int32_t>(net.links().size())};
+      net::EndCondition& end = net.link_mut(reseat).end_a.condition;
+      end.reseat_count += 1;
+      net::reset_contacts(end);
+      net.refresh_link(reseat);
+    }
+    env.add_vibration(sim.now(), sim::Duration::hours(3.0), 0.5);
+    env.prune(sim.now());
+  });
+  // Warm-up. The calendars reach their working size at arming; the event
+  // engine's arena grows to the peak of concurrently pending events, so a
+  // burst of no-ops takes it past any peak this fabric reaches.
+  for (int i = 0; i < 512; ++i) sim.schedule_after(sim::Duration::seconds(1.0), [] {});
+  sim.run_until(sim.now() + sim::Duration::days(30.0));
+
+  const std::size_t faults_before = injector.log().size();
+  log_growths = 0;
+  const std::uint64_t before = allocs();
+  sim.run_until(sim.now() + sim::Duration::days(60.0));
+  const std::uint64_t steady = allocs() - before;
+  const std::size_t faults = injector.log().size() - faults_before;
+  EXPECT_EQ(steady, log_growths) << "heap allocations beyond the fault log's across " << faults
+                                 << " faults in 60 steady-state days";
+  EXPECT_GT(faults, 30u);
+  net.check_invariants();
 }
 
 TEST(ZeroAlloc, StorageCleanReadTick) {

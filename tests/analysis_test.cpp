@@ -175,3 +175,30 @@ TEST(Report, CsvOutput) {
 
 }  // namespace
 }  // namespace smn::analysis
+
+namespace smn::analysis {
+namespace {
+
+// Published two-sided 95% quantiles (e.g. NIST/SEMATECH e-Handbook, Table
+// 1.3.6.7.2), to the digits printed there.
+TEST(StudentT, MatchesPublishedQuantiles) {
+  EXPECT_NEAR(student_t_975(1), 12.706, 5e-4);
+  EXPECT_NEAR(student_t_975(3), 3.182, 5e-4);
+  EXPECT_NEAR(student_t_975(7), 2.365, 5e-4);
+  EXPECT_NEAR(student_t_975(30), 2.042, 5e-4);
+  EXPECT_NEAR(student_t_975(120), 1.980, 5e-4);
+  EXPECT_NEAR(student_t_975(1e9), 1.959964, 1e-6);  // the normal limit
+}
+
+TEST(StudentT, IntervalUsesNMinusOneDegreesOfFreedom) {
+  SampleStats s;
+  EXPECT_EQ(s.ci95(), 0.0);
+  s.push(1.0);
+  EXPECT_EQ(s.ci95(), 0.0);
+  for (const double v : {2.0, 3.0, 4.0}) s.push(v);
+  EXPECT_NEAR(s.ci95(), student_t_975(3) * s.stddev() / 2.0, 1e-12);
+  EXPECT_NEAR(s.ci95(), 2.0542, 1e-4);
+}
+
+}  // namespace
+}  // namespace smn::analysis

@@ -4,6 +4,9 @@
 // stops, and bounded statistics.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "scenario/world.h"
 #include "test_util.h"
 #include "topology/builders.h"
@@ -18,6 +21,14 @@ struct ChaosCase {
   std::uint64_t seed;
   AutomationLevel level;
 };
+
+std::string case_name(const ChaosCase& c) {
+  return "seed" + std::to_string(c.seed) + "_L" + std::to_string(static_cast<int>(c.level));
+}
+
+// Without a printer gtest renders the case as raw bytes, padding included,
+// and the ctest names change from build to build.
+void PrintTo(const ChaosCase& c, std::ostream* os) { *os << case_name(c); }
 
 class ChaosStorm : public ::testing::TestWithParam<ChaosCase> {};
 
@@ -96,10 +107,7 @@ std::vector<ChaosCase> chaos_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Storms, ChaosStorm, ::testing::ValuesIn(chaos_cases()),
-                         [](const auto& pi) {
-                           return "seed" + std::to_string(pi.param.seed) + "_L" +
-                                  std::to_string(static_cast<int>(pi.param.level));
-                         });
+                         [](const auto& pi) { return case_name(pi.param); });
 
 }  // namespace
 }  // namespace smn::scenario

@@ -188,6 +188,61 @@ TEST_F(FaultFixture, OxidationGrowsAndRaisesGrayHazard) {
   EXPECT_GT(total_ox, 0.0);
 }
 
+TEST_F(FaultFixture, CalendarDrawsFollowFaultsNotComponents) {
+  obs::Obs obs{obs::Options{}};
+  injector.set_obs(&obs);
+  injector.start();
+  sim.run_until(TimePoint::origin() + Duration::days(30));
+  const std::uint64_t draws = obs.metrics()->counter("fault_rng_draws_total")->value();
+  // The scan this replaced drew ~150 variates per hourly step on this
+  // fabric; the calendars draw about one per component at arming, then a
+  // handful per fault.
+  EXPECT_GT(draws, 0u);
+  EXPECT_LT(draws, 30u * 24u);
+  // A step with nothing due and nothing touched draws nothing.
+  FaultInjector::Config quiet;
+  quiet.transceiver_afr = quiet.cable_afr = quiet.switch_afr = 0.0;
+  quiet.server_nic_afr = quiet.linecard_afr = quiet.gray_rate_per_year = 0.0;
+  sim::Simulator sim2;
+  net::Network net2{bp, testutil::short_aoc(), sim2};
+  FaultInjector idle{net2, env, rngs.stream("idle"), quiet};
+  obs::Obs obs2{obs::Options{}};
+  idle.set_obs(&obs2);
+  for (int i = 0; i < 48; ++i) idle.step_once();
+  EXPECT_EQ(obs2.metrics()->counter("fault_rng_draws_total")->value(), 0u);
+}
+
+TEST_F(FaultFixture, ContactResetDiscardsOxidationNotYetMaterialised) {
+  // No gray candidates, so nothing reads oxidation until the end goes dark.
+  FaultInjector::Config cfg;
+  cfg.gray_rate_per_year = 0.0;
+  cfg.transceiver_afr = cfg.cable_afr = cfg.switch_afr = 0.0;
+  cfg.server_nic_afr = cfg.linecard_afr = 0.0;
+  cfg.oxidation_rate_per_year = 50.0;  // ~0.006 per step
+  sim::Simulator sim2;
+  net::Network net2{bp, testutil::short_aoc(), sim2};
+  FaultInjector inj{net2, env, rngs.stream("ox"), cfg};
+  for (int i = 0; i < 100; ++i) inj.step_once();
+  // 100 steps have accrued on end a (~0.57), but a reseat scrapes them off
+  // although oxidation reads 0 before and after it.
+  net::EndCondition& end = net2.link_mut(net::LinkId{0}).end_a.condition;
+  ASSERT_EQ(end.oxidation, 0.0);
+  net::reset_contacts(end);
+  net2.refresh_link(net::LinkId{0});
+  inj.step_once();  // one step accrues on the fresh contacts
+  end.transceiver_seated = false;
+  net2.refresh_link(net::LinkId{0});
+  inj.step_once();  // the usability change materialises what accrued
+  EXPECT_GT(end.oxidation, 0.0);
+  EXPECT_LT(end.oxidation, 0.1);
+  // End b was never reset: its whole history lands when it goes dark.
+  net::EndCondition& other = net2.link_mut(net::LinkId{0}).end_b.condition;
+  other.transceiver_seated = false;
+  net2.refresh_link(net::LinkId{0});
+  inj.step_once();
+  EXPECT_GT(other.oxidation, 0.3);
+}
+
 TEST_F(FaultFixture, PredictedContactsCoverFaceplateNeighbors) {
   // Pick a leaf switch uplink; the leaf has many ports so it must have
   // faceplate neighbours within +-2 ports.

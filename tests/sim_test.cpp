@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event engine, time primitives, and RNG streams.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -374,6 +375,67 @@ TEST(Rng, ShuffleIsPermutation) {
   s.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+}  // namespace
+}  // namespace smn::sim
+
+namespace smn::sim {
+namespace {
+
+// The owned algorithms are specified by the repo, so their variates are
+// pinned: a change to any of them moves the fault stream and must show here.
+// Uniforms and geometric counts are exact; transcendental results allow a
+// few ulps of libm difference.
+TEST(RngOwned, FirstDrawsArePinned) {
+  RngStream r{20261019};
+  EXPECT_EQ(r.uniform53(), 0.41349336442300566);
+  EXPECT_EQ(r.uniform53(), 0.74692758773756207);
+  EXPECT_EQ(r.uniform53(), 0.20232283849301402);
+  EXPECT_EQ(r.geometric(0.01), 32);
+  EXPECT_EQ(r.geometric(0.01), 24);
+  EXPECT_EQ(r.geometric(0.01), 93);
+  const auto near = [](double got, double want) { EXPECT_NEAR(got, want, 1e-12 * std::abs(want)); };
+  near(r.gamma(3.0, 0.5), 1.1442493486309409);
+  near(r.gamma(3.0, 0.5), 1.1203865034674885);
+  near(r.gamma(3.0, 0.5), 2.2946903908790546);
+  near(r.gamma(0.5, 2.0), 0.53183799832065826);
+  near(r.gamma(0.5, 2.0), 1.1552183541090784);
+  near(r.gamma(0.5, 2.0), 1.5969423215780008);
+  near(r.lognormal_bm(1.0, 0.5), 3.7008003544049952);
+  near(r.lognormal_bm(1.0, 0.5), 4.2882999520878542);
+  near(r.lognormal_bm(1.0, 0.5), 3.2966995177716409);
+  EXPECT_EQ(r.owned_draws(), 15u);
+}
+
+TEST(RngOwned, DegenerateGeometricDrawsNothing) {
+  RngStream r{3};
+  EXPECT_EQ(r.geometric(1.0), 0);
+  EXPECT_EQ(r.geometric(0.0), RngStream::kNever);
+  EXPECT_EQ(r.geometric(-1.0), RngStream::kNever);
+  EXPECT_EQ(r.gamma(0.0, 1.0), 0.0);
+  EXPECT_EQ(r.owned_draws(), 0u);
+}
+
+TEST(RngOwned, MomentsMatchTheirDistributions) {
+  RngStream r{11};
+  constexpr int kN = 200000;
+  double geo = 0.0, gam = 0.0, gam_sq = 0.0, norm = 0.0, norm_sq = 0.0;
+  for (int i = 0; i < kN; ++i) {
+    geo += static_cast<double>(r.geometric(0.2));
+    const double g = r.gamma(4.0, 0.25);
+    gam += g;
+    gam_sq += g * g;
+    const double z = std::log(r.lognormal_bm(1.0, 2.0));  // the owned normal
+    norm += z;
+    norm_sq += z * z;
+  }
+  const auto mean = [](double sum) { return sum / kN; };
+  EXPECT_NEAR(mean(geo), 0.8 / 0.2, 0.03);                         // (1-p)/p
+  EXPECT_NEAR(mean(gam), 1.0, 0.005);                              // shape * scale
+  EXPECT_NEAR(mean(gam_sq) - mean(gam) * mean(gam), 0.25, 0.005);  // shape * scale^2
+  EXPECT_NEAR(mean(norm), 1.0, 0.02);
+  EXPECT_NEAR(mean(norm_sq) - mean(norm) * mean(norm), 4.0, 0.05);
 }
 
 }  // namespace
