@@ -2,6 +2,8 @@
 // percentiles over retained samples, and Student-t confidence intervals.
 #pragma once
 
+#include <math.h>  // lgamma_r
+
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -36,11 +38,19 @@ namespace detail {
   return h;
 }
 
+/// ln Γ(x). std::lgamma also stores the sign of Γ(x) in the global
+/// `signgam`, a data race when sweep workers aggregate frontiers at once;
+/// the POSIX reentrant form returns the same value and keeps the sign local.
+[[nodiscard]] inline double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// I_x(a, b), the regularised incomplete beta function.
 [[nodiscard]] inline double incomplete_beta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double front = std::exp(std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  const double front = std::exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
                                 a * std::log(x) + b * std::log1p(-x));
   return x < (a + 1.0) / (a + b + 2.0) ? front * beta_cf(a, b, x) / a
                                        : 1.0 - front * beta_cf(b, a, 1.0 - x) / b;
@@ -65,37 +75,57 @@ namespace detail {
   return 0.5 * (lo + hi);
 }
 
+/// Streaming count, sum and sum of squares: the one place the mean, standard
+/// deviation and interval formulas live. Holds no samples, so a caller
+/// summarising many points with one sample count can reuse one t quantile.
+class Moments {
+ public:
+  void push(double x) {
+    ++n_;
+    sum_ += x;
+    sum_sq_ += x * x;
+  }
+
+  [[nodiscard]] double mean() const { return n_ == 0 ? 0.0 : sum_ / static_cast<double>(n_); }
+
+  [[nodiscard]] double stddev() const {
+    if (n_ < 2) return 0.0;
+    const double m = mean();
+    const double var = (sum_sq_ - static_cast<double>(n_) * m * m) / static_cast<double>(n_ - 1);
+    return var > 0.0 ? std::sqrt(var) : 0.0;
+  }
+
+  /// Half-width of the 95% Student-t interval on the mean over n samples,
+  /// t * sd / sqrt(n), where `t975` is student_t_975(n - 1); 0 below two.
+  [[nodiscard]] double ci95(double t975) const {
+    if (n_ < 2) return 0.0;
+    return t975 * stddev() / std::sqrt(static_cast<double>(n_));
+  }
+
+ private:
+  std::size_t n_ = 0;
+  double sum_ = 0.0;
+  double sum_sq_ = 0.0;
+};
+
 class SampleStats {
  public:
   void push(double x) {
     samples_.push_back(x);
     sorted_ = false;
-    sum_ += x;
-    sum_sq_ += x * x;
+    moments_.push(x);
   }
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
 
-  [[nodiscard]] double mean() const {
-    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(samples_.size());
-  }
-
-  [[nodiscard]] double stddev() const {
-    const std::size_t n = samples_.size();
-    if (n < 2) return 0.0;
-    const double m = mean();
-    const double var = (sum_sq_ - static_cast<double>(n) * m * m) / static_cast<double>(n - 1);
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-  }
+  [[nodiscard]] double mean() const { return moments_.mean(); }
+  [[nodiscard]] double stddev() const { return moments_.stddev(); }
 
   /// Half-width of the 95% Student-t interval on the mean,
   /// t_{0.975}(n-1) * sd / sqrt(n); 0 below two samples.
   [[nodiscard]] double ci95() const {
-    const std::size_t n = samples_.size();
-    if (n < 2) return 0.0;
-    return student_t_975(static_cast<double>(n - 1)) * stddev() /
-           std::sqrt(static_cast<double>(n));
+    return moments_.ci95(student_t_975(static_cast<double>(count()) - 1.0));
   }
 
   [[nodiscard]] double min() const { return order_statistic(0.0); }
@@ -125,8 +155,7 @@ class SampleStats {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_samples_;
   mutable bool sorted_ = false;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
+  Moments moments_;
 };
 
 }  // namespace smn::analysis

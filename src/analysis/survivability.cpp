@@ -72,10 +72,12 @@ FrontierResult aggregate_curves(FailureMode mode, std::size_t elements, std::siz
   if (samples.empty()) return out;
 
   const std::size_t points = elements + 1;
+  // Every point has the same sample count, so one t quantile serves them all.
+  const double t975 = student_t_975(static_cast<double>(samples.size() - 1));
+  std::vector<double> sorted(samples.size());
   const auto aggregate_one = [&](auto member, CurveSummary& summary) {
     summary.mean.resize(points);
     summary.ci95.resize(points);
-    std::vector<double> sorted(samples.size());
     for (std::size_t k = 0; k < points; ++k) {
       for (std::size_t s = 0; s < samples.size(); ++s) {
         const std::vector<double>& curve = samples[s].*member;
@@ -85,10 +87,10 @@ FrontierResult aggregate_curves(FailureMode mode, std::size_t elements, std::siz
       }
       // Sorted accumulation: the aggregate is independent of sample order.
       std::sort(sorted.begin(), sorted.end());
-      SampleStats stats;
-      for (const double v : sorted) stats.push(v);
-      summary.mean[k] = stats.mean();
-      summary.ci95[k] = stats.ci95();
+      Moments moments;
+      for (const double v : sorted) moments.push(v);
+      summary.mean[k] = moments.mean();
+      summary.ci95[k] = moments.ci95(t975);
     }
   };
   aggregate_one(&SurvivabilityCurves::largest_component, out.largest_component);

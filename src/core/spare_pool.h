@@ -4,14 +4,15 @@
 // one shared depot instead of per-hall inventories — a real multi-hall
 // operations pattern and the concrete "campus-level controller decision" of
 // the sharded simulation: spare *requests* travel as cross-domain messages,
-// and the campus coordinator arbitrates them at epoch barriers in the
-// canonical exchange order (sim/epoch.h ExchangeKey), so grants are
-// byte-identical at any shard count.
+// and the campus coordinator arbitrates them in the canonical exchange order
+// (sim/epoch.h ExchangeKey), so grants are byte-identical at any shard count.
 //
 // The pool itself is plain single-owner state: it is touched only by the
-// barrier coordinator, between epochs, when no domain worker is running.
-// Restocking is a deterministic function of simulated time (units per day,
-// fractional carry kept exactly), never of wall clock or arrival order.
+// barrier coordinator, between chunks, when no domain worker is running.
+// Restocking is a function of simulated time alone: floor(rate * t) units
+// have arrived by t, and an arrival at a full shelf is dropped. How often
+// restock_to() is called therefore changes nothing — the property that lets
+// the coordinator place barriers anywhere.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,9 @@ class SparePool {
   explicit SparePool(const Config& cfg)
       : cfg_{cfg}, stock_{cfg.initial_stock < 0 ? 0 : cfg.initial_stock} {}
 
-  /// Advances restocking to `now`. Idempotent for equal `now`; `now` must
-  /// not move backwards (barrier times are monotone).
+  /// Shelves the units that arrived by `now`, up to the shelf capacity.
+  /// Idempotent for equal `now`; `now` must not move backwards (arbitration
+  /// instants are monotone).
   void restock_to(sim::TimePoint now);
 
   /// Grants up to `requested` units from stock. Callers must present
@@ -49,7 +51,7 @@ class SparePool {
  private:
   Config cfg_;
   int stock_ = 0;
-  double restock_carry_ = 0.0;  // fractional units accrued but not yet whole
+  std::int64_t delivered_ = 0;  // units arrived by restocked_to_, shelved or dropped
   sim::TimePoint restocked_to_;
   std::uint64_t granted_total_ = 0;
   std::uint64_t denied_total_ = 0;

@@ -5,8 +5,8 @@
 // processes and fleets — and domains never share mutable state. What crosses
 // domains is messages, and the only facts the exchange layer needs are
 // captured here: which halls are adjacent, at what latency and capacity, and
-// the minimum cross-domain latency (the conservative lookahead that bounds
-// the epoch length; see sim/epoch.h).
+// the minimum cross-domain latency (the conservative lookahead: no delivery
+// lands sooner than this after its send; see sim/epoch.h).
 #pragma once
 
 #include <cstddef>

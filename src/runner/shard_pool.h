@@ -1,8 +1,8 @@
 // ShardPool: a persistent fork-join worker pool for sharded campus runs.
 //
-// A Campus emits one task per domain at every epoch chunk; with thousands of
-// chunks per simulated day, spawning threads per chunk would dominate the
-// runtime. ShardPool keeps its workers parked on a condition variable and
+// A Campus hands over its one-task-per-domain vector at every chunk — one per
+// send instant, dozens per simulated day — so spawning threads per chunk
+// would dominate the runtime. ShardPool keeps its workers parked on a condition variable and
 // republishes the task vector each round, so a barrier costs two lock
 // handoffs instead of N thread creations.
 //

@@ -107,7 +107,7 @@ void record_survivability_obs(obs::Registry* reg, const analysis::FrontierResult
 }
 
 /// The campus-cell replicate: one sharded Campus instead of one World. The
-/// sim side is shard-count-invariant by construction (epoch barriers +
+/// sim side is shard-count-invariant by construction (send-calendar barriers +
 /// sorted exchange), and everything below reads the finished campus on the
 /// calling thread in hall order, so the result is too.
 [[nodiscard]] ReplicateResult run_campus_replicate(const CellSpec& cell, std::size_t cell_index,

@@ -12,12 +12,10 @@ namespace smn::scenario {
 Campus::Campus(const topology::CampusBlueprint& blueprint, CampusConfig cfg)
     : cfg_{std::move(cfg)}, graph_{blueprint}, spare_pool_{cfg_.spare_pool} {
   SMN_ASSERT(!blueprint.halls.empty(), "campus needs at least one hall");
-  if (graph_.coupled()) {
-    // Conservative lookahead: the epoch may be at most the fastest trunk,
-    // so every message sent inside an epoch is deliverable strictly after
-    // its barrier. EpochSchedule's constructor enforces lookahead > 0.
-    lookahead_ = sim::EpochSchedule{sim::TimePoint{}, graph_.min_latency()}.lookahead();
-  }
+  // Conservative lookahead: the fastest trunk, so every message is
+  // deliverable strictly after the barrier at its send instant. DomainGraph
+  // rejects non-positive trunk latency.
+  if (graph_.coupled()) lookahead_ = graph_.min_latency();
 
   domains_.reserve(blueprint.halls.size());
   for (std::size_t i = 0; i < blueprint.halls.size(); ++i) {
@@ -45,6 +43,7 @@ Campus::Campus(const topology::CampusBlueprint& blueprint, CampusConfig cfg)
           d->repl_tx = reg->counter("campus_storage_repl_tx_total");
           d->repl_rx = reg->counter("campus_storage_repl_rx_total");
         }
+        if (i == 0) barriers_total_ = reg->counter("campus_barriers_total");
       }
     }
     domains_.push_back(std::move(d));
@@ -54,25 +53,40 @@ Campus::Campus(const topology::CampusBlueprint& blueprint, CampusConfig cfg)
 void Campus::start() {
   if (started_) return;
   started_ = true;
-  next_barrier_ = now_ + lookahead_;
+  tasks_.reserve(domains_.size());
   for (const std::unique_ptr<Domain>& dp : domains_) {
     Domain& d = *dp;
     d.world->start();
+    tasks_.emplace_back([this, dom = &d] { dom->world->simulator().run_until(chunk_target_); });
     if (!graph_.coupled()) continue;
-    if (cfg_.traffic_period > sim::Duration::zero() && !graph_.peers(d.index).empty()) {
-      d.world->simulator().schedule_every(cfg_.traffic_period,
-                                          [this, dom = &d] { traffic_tick(*dom); });
+    const bool has_peers = !graph_.peers(d.index).empty();
+    if (cfg_.traffic_period > sim::Duration::zero() && has_peers) {
+      add_producer(d, cfg_.traffic_period, &Campus::traffic_tick);
     }
     if (cfg_.spare_audit_period > sim::Duration::zero()) {
-      d.world->simulator().schedule_every(cfg_.spare_audit_period,
-                                          [this, dom = &d] { spare_audit_tick(*dom); });
+      add_producer(d, cfg_.spare_audit_period, &Campus::spare_audit_tick);
     }
     if (cfg_.hall.storage.enabled && cfg_.storage_repl_period > sim::Duration::zero() &&
-        !graph_.peers(d.index).empty()) {
-      d.world->simulator().schedule_every(cfg_.storage_repl_period,
-                                          [this, dom = &d] { storage_repl_tick(*dom); });
+        has_peers) {
+      add_producer(d, cfg_.storage_repl_period, &Campus::storage_repl_tick);
     }
   }
+}
+
+void Campus::add_producer(Domain& d, sim::Duration period, void (Campus::*tick)(Domain&)) {
+  d.world->simulator().schedule_every(period, [this, dom = &d, tick] { (this->*tick)(*dom); });
+  // Every domain starts at now_, so producers of one period share their
+  // instants; one calendar entry covers them all.
+  for (const Producer& p : calendar_) {
+    if (p.period == period) return;
+  }
+  calendar_.push_back({period, now_ + period});
+}
+
+sim::TimePoint Campus::next_send() const {
+  sim::TimePoint next = sim::TimePoint::max();
+  for (const Producer& p : calendar_) next = std::min(next, p.next);
+  return next;
 }
 
 void Campus::traffic_tick(Domain& d) {
@@ -124,34 +138,31 @@ void Campus::storage_repl_tick(Domain& d) {
 }
 
 void Campus::run_chunk(sim::TimePoint target, const Executor& exec) {
-  std::vector<Task> tasks;
-  tasks.reserve(domains_.size());
-  for (const std::unique_ptr<Domain>& dp : domains_) {
-    tasks.push_back([dom = dp.get(), target, this] {
-      dom->world->simulator().run_until(target);
-      mailbox_.post(std::move(dom->outbox));
-      dom->outbox.clear();
-    });
-  }
+  chunk_target_ = target;
   if (exec) {
-    exec(tasks);
+    exec(tasks_);
   } else {
-    for (Task& t : tasks) t();
+    for (Task& t : tasks_) t();
   }
-  // Coordinator side of the barrier: collect what the workers posted. The
-  // arrival order is thread-timing noise; exchange() restores the canonical
-  // order before anything acts on it.
-  std::vector<CrossMessage> drained = mailbox_.drain();
-  pending_.insert(pending_.end(), std::make_move_iterator(drained.begin()),
-                  std::make_move_iterator(drained.end()));
+  // Both executors return only after every task finished, so the gather
+  // needs no lock. exchange() sorts into the canonical order.
+  for (const std::unique_ptr<Domain>& dp : domains_) {
+    pending_.insert(pending_.end(), dp->outbox.begin(), dp->outbox.end());
+    dp->outbox.clear();
+  }
 }
 
 void Campus::exchange(sim::TimePoint barrier) {
   ++barriers_passed_;
+  if (barriers_total_ != nullptr) barriers_total_->inc();
   std::sort(pending_.begin(), pending_.end(),
             [](const CrossMessage& a, const CrossMessage& b) { return a.key() < b.key(); });
-  spare_pool_.restock_to(barrier);
   for (const CrossMessage& m : pending_) {
+    // A producer off the send calendar would deliver late; fail loudly.
+    SMN_ASSERT(m.sent <= barrier && barrier < m.sent + lookahead_,
+               "message from hall %d sent at %lld us missed its barrier at %lld us", m.src,
+               static_cast<long long>(m.sent.count_us()),
+               static_cast<long long>(barrier.count_us()));
     switch (m.kind) {
       case CrossMessage::Kind::kTraffic: {
         SMN_ASSERT(m.dst >= 0 && m.dst < static_cast<int>(domains_.size()),
@@ -159,9 +170,8 @@ void Campus::exchange(sim::TimePoint barrier) {
         Domain& dst = *domains_[static_cast<std::size_t>(m.dst)];
         const sim::Duration latency = graph_.latency(m.src, m.dst);
         SMN_ASSERT(latency < sim::Duration::max(), "cross-traffic between non-adjacent halls");
-        // Conservative lookahead guarantees sent + latency > barrier, so the
-        // destination (parked exactly at the barrier) receives no event in
-        // its past.
+        // latency >= lookahead puts the delivery strictly after the barrier,
+        // where the destination is parked: no event lands in its past.
         dst.world->simulator().schedule_at(m.sent + latency, [dom = &dst, gbps = m.gbps] {
           if (dom->rx_flows != nullptr) dom->rx_flows->inc();
           if (dom->rx_gbps != nullptr) dom->rx_gbps->observe(gbps);
@@ -184,16 +194,18 @@ void Campus::exchange(sim::TimePoint barrier) {
         break;
       }
       case CrossMessage::Kind::kSpareRequest: {
-        // Campus-level controller decision: arbitration happens here, at the
-        // barrier, in canonical message order — first-sent, first-served,
-        // ties broken by hall index. The grant travels back over the campus
-        // spine: one lookahead out, one back.
+        // Campus-level controller decision, in canonical message order —
+        // first-sent, first-served, ties broken by hall index. The request
+        // reaches the depot one lookahead after it was sent, which is when
+        // it is arbitrated; the grant travels one more lookahead back.
+        const sim::TimePoint arbitration = m.sent + lookahead_;
+        spare_pool_.restock_to(arbitration);
         const int granted = spare_pool_.grant(m.spares);
         const int denied = m.spares - granted;
         const int level = spare_pool_.stock();
         Domain& src = *domains_[static_cast<std::size_t>(m.src)];
         src.world->simulator().schedule_at(
-            m.sent + lookahead_ + lookahead_, [dom = &src, granted, denied, level] {
+            arbitration + lookahead_, [dom = &src, granted, denied, level] {
               if (dom->spares_granted != nullptr) {
                 dom->spares_granted->inc(static_cast<std::uint64_t>(granted));
               }
@@ -213,20 +225,17 @@ void Campus::exchange(sim::TimePoint barrier) {
 void Campus::run_for(sim::Duration d, const Executor& exec) {
   start();
   const sim::TimePoint end = now_ + d;
-  if (!graph_.coupled()) {
-    // No trunks, no barriers: domains are fully independent and can run the
-    // whole span as one chunk (still parallelizable across shards).
-    run_chunk(end, exec);
-    now_ = end;
-    return;
-  }
   while (now_ < end) {
-    const sim::TimePoint target = next_barrier_ < end ? next_barrier_ : end;
+    // Messages leave only at send instants, so the domains can run
+    // undisturbed to the next one (or to the end of the span).
+    const sim::TimePoint barrier = next_send();
+    const sim::TimePoint target = barrier < end ? barrier : end;
     run_chunk(target, exec);
     now_ = target;
-    if (now_ == next_barrier_) {
-      exchange(now_);
-      next_barrier_ = next_barrier_ + lookahead_;
+    if (now_ != barrier) continue;
+    exchange(barrier);
+    for (Producer& p : calendar_) {
+      if (p.next == barrier) p.next = p.next + p.period;
     }
   }
 }

@@ -5,21 +5,32 @@
 // technician/robot fleets, and obs registry — so nothing mutable is ever
 // shared between domains and each one can run on its own worker thread.
 // Cross-hall physics (inter-hall traffic flows, the shared spare depot with
-// campus-level grant arbitration) travel as messages exchanged at fixed
-// epoch barriers under the conservative-lookahead discipline of sim/epoch.h:
+// campus-level grant arbitration, storage replica pushes) travel as messages
+// exchanged at barriers under the conservative-lookahead discipline of
+// sim/epoch.h.
 //
-//   1. Epoch k: every domain runs its own event loop to the barrier,
-//      appending outbound messages to a private outbox. The executor may run
-//      domains on any threads in any order — they share no mutable state.
-//   2. Barrier k: each domain's outbox batch lands in the CrossShardMailbox
-//      (the only locked structure, annotated SMN_GUARDED_BY); the calling
-//      thread drains it and sorts by the canonical ExchangeKey
-//      (send time, source hall, per-source sequence), erasing every trace of
-//      thread timing from the order.
-//   3. Deliveries are scheduled into destination simulators in that sorted
-//      order. Lookahead = min cross-hall latency guarantees every delivery
-//      time is strictly after the barrier, so no domain ever receives an
-//      event in its past.
+// Every message comes from one of three Campus-owned periodic ticks, each
+// firing at start + k * period, so the coordinator knows the *send calendar*
+// in advance and places a barrier only at a send instant s:
+//
+//   1. Chunk: every domain runs its own event loop to s, inclusive
+//      (Simulator::run_until executes events at the deadline, so the ticks
+//      at s have run), appending outbound messages to a private outbox. The
+//      executor may run domains on any threads in any order — they share no
+//      mutable state.
+//   2. Gather: the executor returns only after every task finished, so the
+//      coordinator appends the outboxes to its pending list in domain order,
+//      with no lock, and sorts them by the canonical ExchangeKey
+//      (send time, source hall, per-source sequence).
+//   3. Exchange: deliveries are scheduled into destination simulators in
+//      that order. Each lands at sent + latency >= s + lookahead > s, so no
+//      domain ever receives an event in its past. Spare requests are
+//      arbitrated at sent + lookahead against a depot that restocks by the
+//      clock, so no decision depends on where barriers fall.
+//
+// With no producer there is no barrier: the domains run each run_for() span
+// as one chunk, like an uncoupled campus. A 30-minute traffic tick means 48
+// barriers per campus-day.
 //
 // Consequence (the property the shard-invariance CI gate enforces): per-hall
 // trace hashes, the campus trace hash, merged metrics snapshots, and sweep
@@ -33,9 +44,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/mutex.h"
 #include "core/spare_pool.h"
-#include "core/thread_annotations.h"
 #include "net/domain.h"
 #include "obs/metrics.h"
 #include "scenario/world.h"
@@ -63,42 +72,6 @@ struct CrossMessage {
   [[nodiscard]] sim::ExchangeKey key() const { return {sent, src, seq}; }
 };
 
-/// The cross-shard mailbox: domain workers post their epoch's outbox batch
-/// here as they reach the barrier; the coordinator drains it once all
-/// workers have joined. The only mutable state shared across shard threads,
-/// and therefore the only lock — annotated so the clang -Werror=thread-safety
-/// build proves every access holds it.
-class CrossShardMailbox {
- public:
-  /// Appends a batch (possibly empty). Called by domain tasks on worker
-  /// threads at the end of each epoch chunk.
-  void post(std::vector<CrossMessage>&& batch) {
-    if (batch.empty()) return;
-    core::MutexLock lock{mu_};
-    pending_.insert(pending_.end(), std::make_move_iterator(batch.begin()),
-                    std::make_move_iterator(batch.end()));
-  }
-
-  /// Takes everything posted so far. Called by the coordinator between
-  /// epochs; arrival order is thread-timing-dependent, so callers must
-  /// re-sort by ExchangeKey before acting on the result.
-  [[nodiscard]] std::vector<CrossMessage> drain() {
-    core::MutexLock lock{mu_};
-    std::vector<CrossMessage> out;
-    out.swap(pending_);
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    core::MutexLock lock{mu_};
-    return pending_.size();
-  }
-
- private:
-  mutable core::Mutex mu_;
-  std::vector<CrossMessage> pending_ SMN_GUARDED_BY(mu_);
-};
-
 struct CampusConfig {
   /// Per-hall world configuration. `hall.seed` is the campus master seed;
   /// hall i actually runs at domain_seed(hall.seed, i).
@@ -111,8 +84,8 @@ struct CampusConfig {
   double flow_gbps_mean = 40.0;
   /// Spare audits: every period, a hall tallies faults injected since its
   /// last audit and requests that many replacement units from the shared
-  /// depot; the campus coordinator arbitrates grants at the barrier.
-  /// zero() disables.
+  /// depot; the campus coordinator arbitrates grants one lookahead after the
+  /// send. zero() disables.
   sim::Duration spare_audit_period = sim::Duration::hours(6);
   core::SparePool::Config spare_pool;
   /// Cross-hall storage replication (active only when `hall.storage.enabled`):
@@ -150,7 +123,8 @@ class Campus {
   void start();
 
   /// Runs the campus for `d` of simulated time. The executor (if any) is
-  /// invoked once per epoch chunk with one task per domain.
+  /// invoked once per chunk — up to the next send instant or the end of
+  /// `d` — with the same vector of one task per domain.
   void run_for(sim::Duration d, const Executor& exec = {});
 
   [[nodiscard]] std::size_t domain_count() const { return domains_.size(); }
@@ -161,7 +135,7 @@ class Campus {
   /// True when any cross-hall trunk exists; an uncoupled campus runs its
   /// domains with no barriers and no extra scheduled events at all.
   [[nodiscard]] bool coupled() const { return graph_.coupled(); }
-  /// The epoch length (min cross-hall trunk latency). Meaningful iff coupled.
+  /// The lookahead (min cross-hall trunk latency). Meaningful iff coupled.
   [[nodiscard]] sim::Duration lookahead() const { return lookahead_; }
 
   /// Campus trace hash: FNV-1a fold of the per-domain executed-event trace
@@ -189,9 +163,8 @@ class Campus {
     int index = 0;
     std::unique_ptr<World> world;
     sim::RngStream traffic_rng;
-    /// Outbound messages accumulated during the current epoch. Touched only
-    /// by the one task running this domain; handed to the mailbox at the
-    /// chunk boundary.
+    /// Outbound messages of the current chunk. Touched only by the one task
+    /// running this domain; the coordinator gathers it after the join.
     std::vector<CrossMessage> outbox;
     std::uint64_t next_seq = 1;
     std::size_t faults_seen = 0;  // injector-log watermark for spare audits
@@ -211,25 +184,41 @@ class Campus {
     Domain(int idx, sim::RngStream rng) : index{idx}, traffic_rng{std::move(rng)} {}
   };
 
+  /// One periodic producer on the send calendar: its ticks fire at
+  /// start + k * period in every domain that registered it.
+  struct Producer {
+    sim::Duration period;
+    sim::TimePoint next;  // the next send instant
+  };
+
   void traffic_tick(Domain& d);
   void spare_audit_tick(Domain& d);
   void storage_repl_tick(Domain& d);
-  /// Runs all domains to `target` through `exec`, posting outboxes.
+  /// Registers one tick of `period` in `d` and puts it on the send calendar.
+  void add_producer(Domain& d, sim::Duration period, void (Campus::*tick)(Domain&));
+  /// The earliest pending send instant; TimePoint::max() with no producers.
+  [[nodiscard]] sim::TimePoint next_send() const;
+  /// Runs all domains to `target` through `exec`, then gathers outboxes.
   void run_chunk(sim::TimePoint target, const Executor& exec);
-  /// Sorted-merge delivery of everything pending at barrier time `barrier`.
+  /// Sorted-merge delivery of everything sent at the send instant `barrier`.
   void exchange(sim::TimePoint barrier);
 
   CampusConfig cfg_;
   net::DomainGraph graph_;
   sim::Duration lookahead_ = sim::Duration::max();
   std::vector<std::unique_ptr<Domain>> domains_;
-  CrossShardMailbox mailbox_;
-  /// Messages drained from the mailbox but not yet at their barrier (a
-  /// run_for boundary can land mid-epoch). Coordinator-owned.
+  /// The send calendar: one entry per distinct producer period.
+  std::vector<Producer> calendar_;
+  /// One task per domain, built once in start(); each runs its domain to
+  /// chunk_target_.
+  std::vector<Task> tasks_;
+  sim::TimePoint chunk_target_;
+  /// Messages gathered from the outboxes, awaiting the exchange.
+  /// Coordinator-owned; keeps its capacity across barriers.
   std::vector<CrossMessage> pending_;
   core::SparePool spare_pool_;
+  obs::Counter* barriers_total_ = nullptr;  // hall 0's campus_barriers_total
   sim::TimePoint now_;
-  sim::TimePoint next_barrier_;
   std::uint64_t messages_exchanged_ = 0;
   std::uint64_t barriers_passed_ = 0;
   bool started_ = false;

@@ -1,68 +1,29 @@
-// Epoch-barrier scheduling for sharded (multi-simulator) execution.
+// The exchange order for sharded (multi-simulator) execution.
 //
 // A campus-scale run partitions the plant into *domains*, each owning its own
-// Simulator. Domains advance independently inside an epoch and synchronize at
-// fixed barriers where cross-domain messages are exchanged. The discipline is
-// conservative parallel discrete-event simulation: the epoch length (the
-// *lookahead*) must not exceed the minimum cross-domain latency, so a message
-// sent anywhere inside epoch k is always delivered strictly after barrier k —
-// it can be scheduled into the destination simulator while every domain is
-// parked at the barrier, before epoch k+1 starts. No rollbacks, no straggler
-// events, and the executed event order of every domain is independent of how
-// domains are assigned to worker threads.
-//
-// EpochSchedule is the pure arithmetic: barrier placement at fixed multiples
-// of the lookahead from a start point. The exchange itself (sorted merge of
-// messages) lives with the owner of the domains (scenario::Campus); the
-// ordering key it must use is defined here so the tie-break discipline is a
-// single source of truth shared with tests.
+// Simulator. Domains advance independently and synchronize at barriers where
+// cross-domain messages are exchanged. The discipline is conservative
+// parallel discrete-event simulation: every delivery lands at least one
+// *lookahead* (the minimum cross-domain latency) after its send, so a barrier
+// at the send instant can schedule it into the destination simulator while
+// every domain is parked there. No rollbacks, no straggler events, and the
+// executed event order of every domain is independent of how domains are
+// assigned to worker threads. The owner of the domains (scenario::Campus)
+// places the barriers and runs the exchange; the ordering key the exchange
+// must use is defined here so the tie-break discipline is a single source of
+// truth shared with tests.
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <tuple>
 
 #include "sim/time.h"
 
 namespace smn::sim {
 
-/// Placement of epoch barriers: fixed multiples of `lookahead` after `start`.
-/// Barriers never move once the schedule is constructed, so two runs chunked
-/// into different run_for() slices still exchange at identical instants.
-class EpochSchedule {
- public:
-  /// `lookahead` must be strictly positive: a zero lookahead would require a
-  /// delivery at the send instant itself, which the conservative barrier
-  /// discipline cannot honor (the destination may already have advanced past
-  /// it on another thread). Throws std::invalid_argument.
-  EpochSchedule(TimePoint start, Duration lookahead) : start_{start}, lookahead_{lookahead} {
-    if (lookahead <= Duration::zero()) {
-      throw std::invalid_argument{
-          "EpochSchedule: lookahead must be > 0 (epoch barriers need a conservative "
-          "minimum cross-domain latency)"};
-    }
-  }
-
-  [[nodiscard]] TimePoint start() const { return start_; }
-  [[nodiscard]] Duration lookahead() const { return lookahead_; }
-
-  /// The first barrier strictly after `t`. Epoch k spans
-  /// (start + k*lookahead, start + (k+1)*lookahead].
-  [[nodiscard]] TimePoint next_barrier_after(TimePoint t) const {
-    const std::int64_t elapsed = (t - start_).count_us();
-    const std::int64_t e = lookahead_.count_us();
-    const std::int64_t k = elapsed / e + 1;  // elapsed >= 0: domains never run before start
-    return start_ + Duration::microseconds(k * e);
-  }
-
- private:
-  TimePoint start_;
-  Duration lookahead_;
-};
-
-/// The canonical cross-domain message ordering key. Messages drained from
-/// per-domain outboxes arrive in a thread-count-dependent order; sorting by
-/// (send time, source domain, per-source sequence number) restores a total
+/// The canonical cross-domain message ordering key. Messages gathered from
+/// per-domain outboxes would otherwise be ordered by domain; sorting by
+/// (send time, source domain, per-source sequence number) gives a total
 /// order — (src, seq) is unique per message — so delivery-event scheduling is
 /// byte-identical at any shard count. This is the same tie-break discipline
 /// the sweep aggregator uses for (cell, seed) replicates.

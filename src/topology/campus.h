@@ -1,13 +1,13 @@
 // A campus: several independent halls (each a full Blueprint fabric) tied
 // together by long inter-hall links. This is the multi-hall modular-DC shape
 // the sharded simulation targets — one domain (own Simulator, Network,
-// fleets) per hall, cross-hall interactions exchanged at epoch barriers.
+// fleets) per hall, cross-hall interactions exchanged at barriers.
 //
 // Inter-hall links are deliberately *not* folded into one giant Blueprint:
 // the whole point of domain sharding is that a hall's event loop never reads
 // another hall's mutable state. A CrossHallLink therefore carries only the
 // coupling facts the barrier exchange needs: endpoints (hall indices),
-// capacity, and the one number that bounds the epoch length — its latency.
+// capacity, and the one number that bounds the lookahead — its latency.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,7 @@
 namespace smn::topology {
 
 /// One long-haul fiber trunk between two halls. Latency is the conservative
-/// lookahead contribution: the epoch length of a sharded run is the minimum
+/// lookahead contribution: the lookahead of a sharded run is the minimum
 /// latency over all cross links (see net/domain.h).
 struct CrossHallLink {
   int hall_a = -1;
@@ -61,15 +61,13 @@ struct CampusParams {
   double cross_capacity_gbps = 1600.0;
   /// Propagation + switching latency per meter of trunk fiber. 5 ns/m of
   /// glass plus DWDM gear overhead, rounded to a round number that keeps
-  /// epoch arithmetic exact in integer microseconds.
+  /// delivery times exact in integer microseconds.
   double latency_us_per_m = 0.05;
-  /// Floor on trunk latency, and therefore on the campus lookahead (= epoch
-  /// length). This models the end-to-end time for a cross-hall interaction
-  /// to take effect — traffic ramp-up, depot logistics dispatch — not raw
-  /// fiber propagation (which at ~6 us would force millions of barriers per
-  /// simulated day for no behavioral gain). One minute keeps a 30-day
-  /// campus run at ~43k barriers while staying far below every producer
-  /// period in scenario::CampusConfig.
+  /// Floor on trunk latency, and therefore on the campus lookahead. This
+  /// models the end-to-end time for a cross-hall interaction to take
+  /// effect — traffic ramp-up, depot logistics dispatch — not raw fiber
+  /// propagation (~6 us). One minute stays far below every producer period
+  /// in scenario::CampusConfig.
   sim::Duration min_latency = sim::Duration::minutes(1.0);
   /// Ring topology (hall i <-> i+1, wrap) when true; full mesh when false.
   bool ring = true;

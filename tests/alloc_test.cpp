@@ -5,7 +5,9 @@
 //   * the fault calendars: the hourly drain, gray candidates and re-checks
 //     after repairs, reseats and vibration (the fault log's own growth aside);
 //   * the storage data plane: the healthy-fabric clean-read tick;
-//   * the survivability frontier: make_ordering + replay, both failure modes.
+//   * the survivability frontier: make_ordering + replay, both failure modes,
+//     and aggregation, whose allocations do not grow with the curve length;
+//   * the campus exchange: barriers, gathers and cross-hall deliveries.
 //
 // The counter is a program-wide replacement of global operator new, so these
 // tests build as their own executable (smn_alloc_tests) and never share a
@@ -23,9 +25,12 @@
 #include "fault/injector.h"
 #include "net/network.h"
 #include "runner/presets.h"
+#include "scenario/campus.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "storage/data_plane.h"
+#include "topology/builders.h"
+#include "topology/campus.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -195,6 +200,71 @@ TEST(ZeroAlloc, SurvivabilityReplayBothModes) {
         << " steady-state replays";
     EXPECT_EQ(curves.largest_component.size(), engine.element_count(mode) + 1);
   }
+}
+
+TEST(ZeroAlloc, SurvivabilityAggregationIsFlatInCurveLength) {
+  // One aggregate_curves call allocates its output and scratch once, however
+  // many points the curves have: the standard hall's 144 links cost no more
+  // allocations than a 16-link fabric.
+  constexpr int kSamples = 16;
+  const auto allocs_of_one_call = [](const topology::Blueprint& bp) {
+    analysis::SurvivabilityFrontier engine{bp};
+    const analysis::FailureMode mode = analysis::FailureMode::kLinks;
+    std::vector<analysis::SurvivabilityCurves> samples(kSamples);
+    std::vector<std::int32_t> order;
+    for (int i = 0; i < kSamples; ++i) {
+      engine.make_ordering(mode, static_cast<std::uint64_t>(i + 1), order);
+      engine.replay(mode, order, samples[static_cast<std::size_t>(i)]);
+    }
+    const std::uint64_t before = allocs();
+    const analysis::FrontierResult r = analysis::aggregate_curves(
+        mode, engine.element_count(mode), engine.device_count(), engine.server_count(), samples);
+    const std::uint64_t used = allocs() - before;
+    EXPECT_EQ(r.samples, static_cast<std::size_t>(kSamples));
+    return used;
+  };
+  const topology::Blueprint small =
+      topology::build_leaf_spine({.leaves = 4, .spines = 2, .servers_per_leaf = 2});
+  const topology::Blueprint standard = runner::standard_fabric();
+  ASSERT_EQ(small.links().size(), 16u);
+  ASSERT_EQ(standard.links().size(), 144u);
+  EXPECT_EQ(allocs_of_one_call(standard), allocs_of_one_call(small));
+}
+
+TEST(ZeroAlloc, CampusExchange) {
+  // A coupled campus whose halls never fault: what runs is the coordinator —
+  // the barriers at the 30-minute traffic instants, the gathers and the
+  // cross-hall deliveries — plus each hall's idle event loop. The invariant
+  // sweep is off because Simulator::check_invariants allocates its scratch.
+  topology::CampusParams params;
+  params.halls = 4;
+  params.hall = {.leaves = 2, .spines = 1, .servers_per_leaf = 1};
+  scenario::CampusConfig cfg;
+  cfg.hall = scenario::WorldConfig::for_level(core::AutomationLevel::kL3_HighAutomation);
+  cfg.hall.seed = 29;
+  cfg.hall.faults.transceiver_afr = 0.0;
+  cfg.hall.faults.cable_afr = 0.0;
+  cfg.hall.faults.switch_afr = 0.0;
+  cfg.hall.faults.server_nic_afr = 0.0;
+  cfg.hall.faults.linecard_afr = 0.0;
+  cfg.hall.faults.gray_rate_per_year = 0.0;
+  cfg.hall.contamination.mean_accumulation_per_day = 0.0;
+  cfg.hall.invariant_interval = sim::Duration::zero();
+  cfg.traffic_period = sim::Duration::minutes(30);
+  cfg.spare_audit_period = sim::Duration::hours(3);
+  scenario::Campus campus{topology::build_campus(params), cfg};
+  campus.run_for(sim::Duration::days(1));  // warm-up: outboxes, arenas, pending list
+
+  const std::uint64_t barriers_before = campus.barriers_passed();
+  const std::uint64_t messages_before = campus.messages_exchanged();
+  const std::uint64_t before = allocs();
+  campus.run_for(sim::Duration::days(1));
+  const std::uint64_t steady = allocs() - before;
+  const std::uint64_t messages = campus.messages_exchanged() - messages_before;
+  EXPECT_EQ(steady, 0u) << "heap allocations across " << messages << " exchanged messages";
+  EXPECT_EQ(campus.barriers_passed() - barriers_before, 48u);
+  EXPECT_GT(messages, 0u);
+  EXPECT_EQ(campus.spare_pool().granted_total() + campus.spare_pool().denied_total(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// The sharded campus contract: epoch-barrier arithmetic, canonical exchange
-// ordering, the shared spare depot, the cross-shard mailbox, and — the
-// property everything else exists to deliver — byte-identical results at any
-// shard count. The differential suite anchors the sharded path to the plain
-// World: an uncoupled campus domain must be event-for-event the same
-// simulation as a standalone World at the derived seed.
+// The sharded campus contract: barriers on the send calendar, canonical
+// exchange ordering, the shared spare depot, and — the property everything
+// else exists to deliver — byte-identical results at any shard count. The
+// differential suite anchors the sharded path to the plain World: an
+// uncoupled campus domain must be event-for-event the same simulation as a
+// standalone World at the derived seed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,28 +29,8 @@ namespace {
 
 using scenario::Campus;
 using scenario::CampusConfig;
-using scenario::CrossMessage;
-using scenario::CrossShardMailbox;
 using sim::Duration;
 using sim::TimePoint;
-
-TEST(EpochSchedule, BarriersAtFixedMultiplesOfLookahead) {
-  const sim::EpochSchedule sched{TimePoint{}, Duration::minutes(1)};
-  EXPECT_EQ(sched.next_barrier_after(TimePoint{}), TimePoint{} + Duration::minutes(1));
-  // Mid-epoch and exactly-on-barrier times both land on the *next* barrier.
-  EXPECT_EQ(sched.next_barrier_after(TimePoint{} + Duration::seconds(59)),
-            TimePoint{} + Duration::minutes(1));
-  EXPECT_EQ(sched.next_barrier_after(TimePoint{} + Duration::minutes(1)),
-            TimePoint{} + Duration::minutes(2));
-  EXPECT_EQ(sched.next_barrier_after(TimePoint{} + Duration::seconds(61)),
-            TimePoint{} + Duration::minutes(2));
-}
-
-TEST(EpochSchedule, RejectsNonPositiveLookahead) {
-  EXPECT_THROW((sim::EpochSchedule{TimePoint{}, Duration::zero()}), std::invalid_argument);
-  EXPECT_THROW((sim::EpochSchedule{TimePoint{}, Duration::microseconds(-1)}),
-               std::invalid_argument);
-}
 
 TEST(ExchangeKey, OrdersBySentThenSourceThenSequence) {
   const TimePoint t0;
@@ -83,6 +63,30 @@ TEST(SparePool, RestockSaturatesAtShelfCapacity) {
   EXPECT_EQ(pool.stock(), 8);
 }
 
+TEST(SparePool, RestockIsCadenceIndependent) {
+  // Saturating shelves: three units a day onto a one-unit shelf, drained by
+  // an hourly grant. Restocking every minute or only at the grant instants
+  // must decide every grant alike — the stock is a function of the clock, so
+  // the campus may place its barriers anywhere.
+  const core::SparePool::Config cfg{.initial_stock = 0, .restock_per_day = 3.0, .max_stock = 1};
+  core::SparePool every_minute{cfg};
+  core::SparePool at_grants{cfg};
+  int mismatches = 0;
+  for (int minute = 1; minute <= 10 * 24 * 60; ++minute) {
+    const TimePoint t = TimePoint{} + Duration::minutes(minute);
+    every_minute.restock_to(t);
+    if (minute % 60 != 0) continue;
+    at_grants.restock_to(t);
+    const int a = every_minute.grant(1);
+    const int b = at_grants.grant(1);
+    if (a != b || every_minute.stock() != at_grants.stock()) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(every_minute.granted_total(), at_grants.granted_total());
+  EXPECT_EQ(at_grants.granted_total(), 30u);  // every arrival finds an empty shelf
+  EXPECT_EQ(at_grants.stock(), every_minute.stock());
+}
+
 TEST(SparePool, GrantsClampToStockAndTallyTotals) {
   core::SparePool pool{{.initial_stock = 3, .restock_per_day = 0.0, .max_stock = 10}};
   EXPECT_EQ(pool.grant(2), 2);
@@ -92,37 +96,6 @@ TEST(SparePool, GrantsClampToStockAndTallyTotals) {
   EXPECT_EQ(pool.stock(), 0);
   EXPECT_EQ(pool.granted_total(), 3u);
   EXPECT_EQ(pool.denied_total(), 8u);
-}
-
-TEST(CrossShardMailboxTest, ConcurrentPostsAllSurviveAndSortCanonically) {
-  CrossShardMailbox mailbox;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50;
-  {
-    std::vector<std::jthread> posters;
-    posters.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      posters.emplace_back([&mailbox, t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          std::vector<CrossMessage> batch(1);
-          batch[0].src = t;
-          batch[0].seq = static_cast<std::uint64_t>(i);
-          batch[0].sent = TimePoint{} + Duration::seconds(i % 5);
-          mailbox.post(std::move(batch));
-        }
-      });
-    }
-  }
-  std::vector<CrossMessage> all = mailbox.drain();
-  ASSERT_EQ(all.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  EXPECT_EQ(mailbox.size(), 0u);
-  // Sorting by the canonical key yields a strict total order: (src, seq) is
-  // unique, so no two keys compare equal and the result is thread-invariant.
-  std::sort(all.begin(), all.end(),
-            [](const CrossMessage& a, const CrossMessage& b) { return a.key() < b.key(); });
-  for (std::size_t i = 1; i < all.size(); ++i) {
-    EXPECT_TRUE(all[i - 1].key() < all[i].key());
-  }
 }
 
 TEST(DomainGraphTest, RingCampusAdjacencyAndLookahead) {
@@ -247,8 +220,8 @@ CampusSignature run_campus(const topology::CampusBlueprint& bp, const CampusConf
   Campus campus{bp, cfg};
   runner::ShardPool pool{shards};
   const Campus::Executor exec = shards > 1 ? pool.executor() : Campus::Executor{};
-  // Deliberately ragged chunking: run_for boundaries land mid-epoch, proving
-  // barriers stay at fixed multiples of the lookahead regardless.
+  // Deliberately ragged chunking: run_for boundaries land between send
+  // instants, proving barriers stay on the send calendar regardless.
   const Duration chunk = Duration::microseconds(span.count_us() / chunks);
   Duration remaining = span;
   for (int i = 0; i + 1 < chunks; ++i) {
@@ -295,7 +268,9 @@ TEST(CampusTest, CoupledCampusExchangesMessages) {
   EXPECT_GT(campus.lookahead(), Duration::zero());
   campus.run_for(Duration::days(1));
   campus.check_invariants();
-  EXPECT_GT(campus.barriers_passed(), 0u);
+  // One barrier per distinct send instant: the 30-minute traffic tick (the
+  // 3-hour spare audits fall on the same instants).
+  EXPECT_EQ(campus.barriers_passed(), 48u);
   EXPECT_GT(campus.messages_exchanged(), 0u);
   // Cross-traffic flows landed: every hall received flows from its two ring
   // peers (2 flows per peer per 30-minute tick over a day).
@@ -322,8 +297,8 @@ TEST(CampusTest, RaggedChunkingLeavesBarriersFixed) {
   const topology::CampusBlueprint bp = tiny_campus(/*halls=*/3, /*coupled=*/true);
   const CampusConfig cfg = tiny_config(/*seed=*/9);
   const CampusSignature whole = run_campus(bp, cfg, Duration::hours(13), 1, /*chunks=*/1);
-  // 7 chunks of 13 hours is 6681.42... minutes-per-chunk: every chunk
-  // boundary lands mid-epoch.
+  // 7 chunks of 13 hours is 111.43 minutes per chunk: every chunk boundary
+  // lands between send instants.
   const CampusSignature ragged = run_campus(bp, cfg, Duration::hours(13), 1, /*chunks=*/7);
   const CampusSignature ragged_sharded = run_campus(bp, cfg, Duration::hours(13), 2,
                                                     /*chunks=*/7);
@@ -332,21 +307,45 @@ TEST(CampusTest, RaggedChunkingLeavesBarriersFixed) {
 }
 
 TEST(CampusTest, EmptyEpochsStillSynchronize) {
-  // No producers at all: every epoch exchanges zero messages, and the
-  // domains must remain exactly standalone Worlds while barriers tick.
+  // No producers at all: the send calendar is empty, so a coupled campus
+  // crosses no barrier and its domains remain exactly standalone Worlds.
   const topology::CampusBlueprint bp = tiny_campus(/*halls=*/2, /*coupled=*/true);
   CampusConfig cfg = tiny_config(/*seed=*/13);
   cfg.traffic_period = Duration::zero();
   cfg.spare_audit_period = Duration::zero();
   Campus campus{bp, cfg};
   campus.run_for(Duration::hours(1));
-  EXPECT_EQ(campus.barriers_passed(), 60u);  // 1-minute lookahead
+  EXPECT_EQ(campus.barriers_passed(), 0u);
   EXPECT_EQ(campus.messages_exchanged(), 0u);
 
   scenario::WorldConfig solo_cfg = cfg.hall;
   scenario::World solo{bp.halls[0], std::move(solo_cfg)};
   solo.run_for(Duration::hours(1));
   EXPECT_EQ(campus.domain(0).simulator().trace_hash(), solo.simulator().trace_hash());
+}
+
+TEST(CampusTest, BarriersFallOnDistinctSendInstants) {
+  // Producers whose periods do not nest: 25-minute traffic and 2-hour spare
+  // audits. A day has 57 traffic instants and 12 audit instants, two of them
+  // shared (10 h and 20 h), so 67 barriers.
+  const topology::CampusBlueprint bp = tiny_campus(/*halls=*/3, /*coupled=*/true);
+  CampusConfig cfg = tiny_config(/*seed=*/17);
+  cfg.traffic_period = Duration::minutes(25);
+  cfg.spare_audit_period = Duration::hours(2);
+  Campus campus{bp, cfg};
+  campus.run_for(Duration::days(1));
+  EXPECT_EQ(campus.barriers_passed(), 67u);
+  double barriers_counter = 0.0;
+  for (const obs::SnapshotEntry& e : campus.merged_snapshot()) {
+    if (e.name == "campus_barriers_total") barriers_counter = e.value;
+  }
+  EXPECT_EQ(barriers_counter, 67.0);  // registered once, in hall 0
+
+  // Audits alone: the calendar follows the one producer left.
+  cfg.traffic_period = Duration::zero();
+  Campus audits_only{bp, cfg};
+  audits_only.run_for(Duration::days(1));
+  EXPECT_EQ(audits_only.barriers_passed(), 12u);
 }
 
 TEST(CampusTest, SpareDepotArbitrationIsSharedAndBounded) {

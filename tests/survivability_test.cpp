@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/stats.h"
 #include "analysis/survivability.h"
 #include "runner/presets.h"
 #include "sim/rng.h"
@@ -280,6 +282,53 @@ TEST(SurvivabilityProperty, AggregationIsPermutationInvariantOverOrderingSeeds) 
     EXPECT_EQ(forward.auc_connectivity, permuted.auc_connectivity);
     EXPECT_EQ(forward.auc_reachability, permuted.auc_reachability);
     EXPECT_EQ(forward.auc_bisection, permuted.auc_bisection);
+  }
+}
+
+TEST(SurvivabilityProperty, AggregationMatchesPerPointSampleStatsBitForBit) {
+  // aggregate_curves solves the t quantile once per call; the reference
+  // below is the per-point form it replaced: a fresh SampleStats per point,
+  // fed in sorted order, asked for mean() and ci95(). Curves mix random
+  // values with two-valued points (many ties) and constant points, where the
+  // variance sits on its clamp at zero.
+  constexpr std::size_t kElements = 24;
+  constexpr std::size_t kPoints = kElements + 1;
+  sim::RngStream rng{20261019};
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 16u, 40u}) {
+    std::vector<SurvivabilityCurves> samples(n);
+    for (SurvivabilityCurves& c : samples) {
+      for (std::vector<double>* curve :
+           {&c.largest_component, &c.server_reachability, &c.bisection}) {
+        curve->resize(kPoints);
+        for (std::size_t k = 0; k < kPoints; ++k) {
+          (*curve)[k] = k % 5 == 0   ? 0.1
+                        : k % 5 == 1 ? (rng.uniform() < 0.5 ? 0.25 : 0.75)
+                                     : rng.uniform();
+        }
+      }
+    }
+    const FrontierResult got =
+        analysis::aggregate_curves(FailureMode::kLinks, kElements, 10, 4, samples);
+    ASSERT_EQ(got.samples, n);
+    const auto expect_bits = [&](auto member, const analysis::CurveSummary& summary) {
+      ASSERT_EQ(summary.mean.size(), kPoints);
+      for (std::size_t k = 0; k < kPoints; ++k) {
+        std::vector<double> sorted;
+        for (const SurvivabilityCurves& c : samples) sorted.push_back((c.*member)[k]);
+        std::sort(sorted.begin(), sorted.end());
+        analysis::SampleStats stats;
+        for (const double v : sorted) stats.push(v);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.mean[k]),
+                  std::bit_cast<std::uint64_t>(stats.mean()))
+            << "n " << n << " point " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.ci95[k]),
+                  std::bit_cast<std::uint64_t>(stats.ci95()))
+            << "n " << n << " point " << k;
+      }
+    };
+    expect_bits(&SurvivabilityCurves::largest_component, got.largest_component);
+    expect_bits(&SurvivabilityCurves::server_reachability, got.server_reachability);
+    expect_bits(&SurvivabilityCurves::bisection, got.bisection);
   }
 }
 
