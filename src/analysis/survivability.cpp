@@ -162,8 +162,7 @@ SurvivabilityFrontier::SurvivabilityFrontier(const topology::Blueprint& bp) {
         static_cast<std::int32_t>(li);
   }
 
-  parent_.resize(node_count_);
-  comp_size_.resize(node_count_);
+  forest_.reset(node_count_);
   comp_servers_.resize(node_count_);
   comp_cut_.resize(node_count_);
   alive_.resize(node_count_);
@@ -205,44 +204,28 @@ void SurvivabilityFrontier::make_ordering(FailureMode mode, std::uint64_t seed,
   rng.shuffle(out);
 }
 
-std::int32_t SurvivabilityFrontier::find(std::int32_t x) {
-  while (parent_[static_cast<std::size_t>(x)] != x) {
-    parent_[static_cast<std::size_t>(x)] =
-        parent_[static_cast<std::size_t>(parent_[static_cast<std::size_t>(x)])];
-    x = parent_[static_cast<std::size_t>(x)];
-  }
-  return x;
-}
-
 void SurvivabilityFrontier::add_link(const LinkRec& link) {
-  std::int32_t ra = find(link.a);
-  std::int32_t rb = find(link.b);
+  const auto [root, absorbed] = forest_.unite(link.a, link.b);
+  const auto ur = static_cast<std::size_t>(root);
   const std::uint64_t cross = link.crossing ? link.capacity : 0;
-  if (ra == rb) {
-    comp_cut_[static_cast<std::size_t>(ra)] += cross;
-    if (comp_servers_[static_cast<std::size_t>(ra)] > 0) active_cut_ += cross;
+  if (root == absorbed) {
+    comp_cut_[ur] += cross;
+    if (comp_servers_[ur] > 0) active_cut_ += cross;
     return;
   }
-  if (comp_size_[static_cast<std::size_t>(ra)] < comp_size_[static_cast<std::size_t>(rb)]) {
-    std::swap(ra, rb);
-  }
-  const auto ua = static_cast<std::size_t>(ra);
-  const auto ub = static_cast<std::size_t>(rb);
+  const auto ua = static_cast<std::size_t>(absorbed);
+  if (comp_servers_[ur] > 0) active_cut_ -= comp_cut_[ur];
   if (comp_servers_[ua] > 0) active_cut_ -= comp_cut_[ua];
-  if (comp_servers_[ub] > 0) active_cut_ -= comp_cut_[ub];
-  parent_[ub] = ra;
-  comp_size_[ua] += comp_size_[ub];
-  comp_servers_[ua] += comp_servers_[ub];
-  comp_cut_[ua] += comp_cut_[ub] + cross;
-  if (comp_servers_[ua] > 0) active_cut_ += comp_cut_[ua];
-  max_component_ = std::max(max_component_, comp_size_[ua]);
-  max_servers_ = std::max(max_servers_, comp_servers_[ua]);
+  comp_servers_[ur] += comp_servers_[ua];
+  comp_cut_[ur] += comp_cut_[ua] + cross;
+  if (comp_servers_[ur] > 0) active_cut_ += comp_cut_[ur];
+  max_component_ = std::max(max_component_, forest_.size(root));
+  max_servers_ = std::max(max_servers_, comp_servers_[ur]);
 }
 
 void SurvivabilityFrontier::reset_forest() {
+  forest_.reset(node_count_);
   for (std::size_t i = 0; i < node_count_; ++i) {
-    parent_[i] = static_cast<std::int32_t>(i);
-    comp_size_[i] = 1;
     comp_servers_[i] = is_server_[i];
     comp_cut_[i] = 0;
   }

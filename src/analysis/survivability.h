@@ -10,8 +10,8 @@
 //
 // The naive computation re-runs BFS over the surviving graph after every
 // removal — O(M * (V + E)) per ordering. SurvivabilityFrontier instead
-// replays each ordering IN REVERSE through an add-only union-find (the same
-// path-halving + union-by-size machinery behind net::ConnectivityEngine):
+// replays each ordering IN REVERSE through an add-only union-find (the
+// net::DisjointSet behind net::ConnectivityEngine's forests too):
 // start from the fully-failed state and re-add elements one at a time,
 // recording curve point k right before re-adding failed element k. Deletion
 // becomes insertion, every curve costs O(M * alpha(V)) merges, and the whole
@@ -43,6 +43,7 @@
 #include <span>
 #include <vector>
 
+#include "net/disjoint_set.h"
 #include "topology/blueprint.h"
 
 namespace smn::analysis {
@@ -156,7 +157,6 @@ class SurvivabilityFrontier {
     bool crossing = false;       // endpoints on opposite checkerboard sides
   };
 
-  [[nodiscard]] std::int32_t find(std::int32_t x);
   void add_link(const LinkRec& link);
   void reset_forest();
   void record_point(std::size_t k);
@@ -171,8 +171,7 @@ class SurvivabilityFrontier {
   std::vector<std::int32_t> incident_link_;
 
   // Replay scratch, sized once in the constructor.
-  std::vector<std::int32_t> parent_;
-  std::vector<std::int32_t> comp_size_;
+  net::DisjointSet forest_;
   std::vector<std::int32_t> comp_servers_;
   std::vector<std::uint64_t> comp_cut_;
   std::vector<std::uint8_t> alive_;

@@ -122,8 +122,8 @@ void MaintenanceController::on_detection(const telemetry::Detection& d) {
   if (!id.has_value()) return;  // deduplicated onto an in-flight ticket
 
   if (obs_detections_ != nullptr) obs_detections_->inc();
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
-      "detection", "controller", net_.now(), "link", d.link.value(), "ticket", *id));
+  if (obs_trace_ != nullptr) obs_trace_->instant(
+      "detection", "controller", net_.now(), "link", d.link.value(), "ticket", *id);
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(net_.now().count_us(), "detection", d.link.value(), *id);
   }
@@ -147,8 +147,8 @@ void MaintenanceController::verify_ticket(int ticket_id) {
     detection_.clear(t.link);
     ++verified_transients_;
     if (obs_verified_transients_ != nullptr) obs_verified_transients_->inc();
-    SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
-        "verified-transient", "controller", net_.now(), "ticket", ticket_id));
+    if (obs_trace_ != nullptr) obs_trace_->instant(
+        "verified-transient", "controller", net_.now(), "ticket", ticket_id);
     return;
   }
   plan(ticket_id);
@@ -183,9 +183,9 @@ void MaintenanceController::plan(int ticket_id) {
     if (bounded > net_.now()) {
       ++deferred_;
       if (obs_deferred_ != nullptr) obs_deferred_->inc();
-      SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
+      if (obs_trace_ != nullptr) obs_trace_->instant(
           "defer", "controller", net_.now(), "ticket", ticket_id, "until_us",
-          bounded.count_us()));
+          bounded.count_us());
       if (obs_recorder_ != nullptr) {
         obs_recorder_->record(net_.now().count_us(), "defer", ticket_id, bounded.count_us());
       }
@@ -249,9 +249,9 @@ void MaintenanceController::execute(int ticket_id, const Job& job, bool via_robo
     ++technician_jobs_;
     if (obs_technician_dispatch_ != nullptr) obs_technician_dispatch_->inc();
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
+  if (obs_trace_ != nullptr) obs_trace_->instant(
       via_robot ? "dispatch-robot" : "dispatch-technician", "controller", net_.now(), "ticket",
-      ticket_id, "kind", static_cast<int>(job.kind)));
+      ticket_id, "kind", static_cast<int>(job.kind));
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(net_.now().count_us(), via_robot ? "dispatch-robot" : "dispatch-tech",
                           ticket_id, static_cast<std::int64_t>(job.kind));
@@ -289,8 +289,8 @@ void MaintenanceController::on_report(int ticket_id, const JobReport& report,
     if (traits_.humans_available) {
       ++human_escalations_;
       if (obs_human_escalations_ != nullptr) obs_human_escalations_->inc();
-      SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
-          "human-escalation", "controller", net_.now(), "ticket", ticket_id));
+      if (obs_trace_ != nullptr) obs_trace_->instant(
+          "human-escalation", "controller", net_.now(), "ticket", ticket_id);
       execute(ticket_id, report.job, false);
     } else {
       // L4: retry autonomously after a short reposition delay.
@@ -391,9 +391,9 @@ void MaintenanceController::open_proactive(net::LinkId link, RepairActionKind ki
   last_proactive_[link] = net_.now();
   ++proactive_actions_;
   if (obs_proactive_ != nullptr) obs_proactive_->inc();
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
+  if (obs_trace_ != nullptr) obs_trace_->instant(
       "proactive", "controller", net_.now(), "link", link.value(), "kind",
-      static_cast<int>(kind)));
+      static_cast<int>(kind));
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(net_.now().count_us(), "proactive", link.value(),
                           static_cast<std::int64_t>(kind));

@@ -2,66 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
-
-#include "topology/physical.h"
 
 namespace smn::fault {
 
 CascadeModel::CascadeModel(net::Network& net, Environment& env, FaultInjector& injector,
                            sim::RngStream rng, Config cfg)
-    : net_{net}, env_{env}, injector_{injector}, rng_{std::move(rng)}, cfg_{cfg} {
-  rebuild_adjacency();
-}
+    : net_{net}, env_{env}, injector_{injector}, rng_{std::move(rng)}, cfg_{cfg} {}
 
-void CascadeModel::rebuild_adjacency() {
-  // Build link->tray-mates adjacency from the blueprint routes.
-  const topology::Blueprint& bp = net_.blueprint();
-  std::unordered_map<topology::TraySegment, std::vector<int>, topology::TraySegmentHash>
-      segment_links;
-  for (int li = 0; li < static_cast<int>(bp.links().size()); ++li) {
-    for (const topology::TraySegment& seg : bp.link(li).route.segments) {
-      segment_links[seg].push_back(li);
-    }
+const std::vector<std::int32_t>& CascadeModel::tray_neighbors(net::LinkId target) const {
+  if (trays_structure_generation_ != net_.structure_generation()) {
+    trays_ = topology::TrayIndex{net_.blueprint()};
+    trays_structure_generation_ = net_.structure_generation();
   }
-  tray_adjacent_.assign(bp.links().size(), {});
-  std::vector<std::unordered_set<int>> sets(bp.links().size());
-  for (const auto& [seg, lids] : segment_links) {
-    for (const int a : lids) {
-      for (const int b : lids) {
-        if (a != b) sets[static_cast<size_t>(a)].insert(b);
-      }
-    }
-  }
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    tray_adjacent_[i].reserve(sets[i].size());
-    for (const int b : sets[i]) tray_adjacent_[i].push_back(net::LinkId{b});
-    std::sort(tray_adjacent_[i].begin(), tray_adjacent_[i].end());
-  }
-}
-
-std::vector<net::LinkId> CascadeModel::faceplate_neighbors(net::LinkId target,
-                                                           net::DeviceId device) const {
-  const net::Link& t = net_.link(target);
-  const int my_port = t.end_a.device == device ? t.end_a.port : t.end_b.port;
-  std::vector<net::LinkId> out;
-  for (const net::LinkId lid : net_.links_at(device)) {
-    if (lid == target) continue;
-    const net::Link& l = net_.link(lid);
-    const int port = l.end_a.device == device ? l.end_a.port : l.end_b.port;
-    if (std::abs(port - my_port) <= cfg_.faceplate_radius) out.push_back(lid);
-  }
-  return out;
-}
-
-std::vector<net::LinkId> CascadeModel::tray_neighbors(net::LinkId target) const {
-  return tray_adjacent_.at(static_cast<size_t>(target.value()));
+  trays_.mates(target.value(), mates_);
+  return mates_;
 }
 
 std::vector<net::LinkId> CascadeModel::predicted_contacts(const Disturbance& d) const {
-  std::vector<net::LinkId> contacts = faceplate_neighbors(d.target, d.at_device);
+  std::vector<net::LinkId> contacts;
+  for_each_faceplate_neighbor(d.target, d.at_device,
+                              [&contacts](net::LinkId lid) { contacts.push_back(lid); });
   if (d.full_route) {
-    for (const net::LinkId lid : tray_neighbors(d.target)) contacts.push_back(lid);
+    for (const std::int32_t lid : tray_neighbors(d.target)) contacts.emplace_back(lid);
     std::sort(contacts.begin(), contacts.end());
     contacts.erase(std::unique(contacts.begin(), contacts.end()), contacts.end());
   }
@@ -118,21 +80,24 @@ std::vector<CascadeEffect> CascadeModel::apply(const Disturbance& d) {
       obs_hops_->inc();
       if (effect.induced != FaultKind::kGrayEpisode) obs_permanent_->inc();
     }
-    SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
+    if (obs_trace_ != nullptr) obs_trace_->instant(
         "cascade-hop", "fault", now, "victim", effect.victim.value(), "cause",
-        effect.cause.value()));
+        effect.cause.value());
     if (obs_recorder_ != nullptr) {
       obs_recorder_->record(now.count_us(), "cascade-hop", effect.victim.value(),
                             effect.cause.value());
     }
   };
 
-  for (const net::LinkId lid : faceplate_neighbors(d.target, d.at_device)) {
+  // A hit only edits link conditions: its link transitions schedule detection
+  // and never rewire or re-enter this model, so both neighbour sets hold
+  // still while the hits run.
+  for_each_faceplate_neighbor(d.target, d.at_device, [&](net::LinkId lid) {
     hit(lid, cfg_.faceplate_coupling * d.magnitude);
-  }
+  });
   if (d.full_route) {
-    for (const net::LinkId lid : tray_neighbors(d.target)) {
-      hit(lid, cfg_.tray_coupling * d.magnitude);
+    for (const std::int32_t lid : tray_neighbors(d.target)) {
+      hit(net::LinkId{lid}, cfg_.tray_coupling * d.magnitude);
     }
   }
   return effects;

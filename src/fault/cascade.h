@@ -13,16 +13,22 @@
 // before acting, which is what the controller's impact-aware scheduling
 // consumes (§2: "automation can report which network cables will be contacted
 // before the maintenance occurs").
+//
+// Both relations follow a runtime Network::rewire with no call here:
+// faceplate neighbours are read from `links_at` per query, and tray-mates
+// from a topology::TrayIndex built on the first full-route query after
+// `Network::structure_generation()` moves (the rule of `Network::adjacency()`).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <cstdlib>
 #include <vector>
 
 #include "fault/environment.h"
 #include "fault/injector.h"
 #include "net/network.h"
 #include "sim/rng.h"
+#include "topology/tray_index.h"
 
 namespace smn::fault {
 
@@ -81,9 +87,21 @@ class CascadeModel {
   /// faults on the contact set. Returns what happened (also logged).
   std::vector<CascadeEffect> apply(const Disturbance& d);
 
-  /// Re-derives the tray adjacency from the network's (possibly rewired)
-  /// blueprint; call after Network::rewire.
-  void rebuild_adjacency();
+  /// The faceplate rule: calls `visit(lid)` for each link on `device` within
+  /// `faceplate_radius` ports of `target`'s port there, in `links_at` order.
+  /// Allocates nothing; the robot fleet counts these as clutter.
+  template <typename Visit>
+  void for_each_faceplate_neighbor(net::LinkId target, net::DeviceId device,
+                                   Visit&& visit) const {
+    const net::Link& t = net_.link(target);
+    const int my_port = t.end_a.device == device ? t.end_a.port : t.end_b.port;
+    for (const net::LinkId lid : net_.links_at(device)) {
+      if (lid == target) continue;
+      const net::Link& l = net_.link(lid);
+      const int port = l.end_a.device == device ? l.end_a.port : l.end_b.port;
+      if (std::abs(port - my_port) <= cfg_.faceplate_radius) visit(lid);
+    }
+  }
 
   [[nodiscard]] const std::vector<CascadeEffect>& log() const { return log_; }
   [[nodiscard]] std::size_t induced_count() const { return log_.size(); }
@@ -95,9 +113,8 @@ class CascadeModel {
   void set_obs(obs::Obs* o);
 
  private:
-  [[nodiscard]] std::vector<net::LinkId> faceplate_neighbors(net::LinkId target,
-                                                             net::DeviceId device) const;
-  [[nodiscard]] std::vector<net::LinkId> tray_neighbors(net::LinkId target) const;
+  /// `target`'s tray-mates, ascending; valid until the next call.
+  [[nodiscard]] const std::vector<std::int32_t>& tray_neighbors(net::LinkId target) const;
 
   net::Network& net_;
   Environment& env_;
@@ -105,8 +122,10 @@ class CascadeModel {
   sim::RngStream rng_;
   Config cfg_;
   std::vector<CascadeEffect> log_;
-  /// Precomputed tray adjacency: link -> links sharing >= 1 tray segment.
-  std::vector<std::vector<net::LinkId>> tray_adjacent_;
+  // Tray adjacency cache — see the header comment for its invalidation rule.
+  mutable topology::TrayIndex trays_;
+  mutable std::uint64_t trays_structure_generation_ = ~std::uint64_t{0};
+  mutable std::vector<std::int32_t> mates_;
   obs::Counter* obs_hops_ = nullptr;
   obs::Counter* obs_permanent_ = nullptr;
   obs::TraceBuffer* obs_trace_ = nullptr;

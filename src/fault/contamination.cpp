@@ -66,16 +66,16 @@ void ContaminationProcess::observe_crossings(net::LinkId id, double before, doub
   const auto pct = [](double c) { return static_cast<std::int64_t>(c * 100.0); };
   if (before < thr.degrade_contamination && after >= thr.degrade_contamination) {
     if (obs_degrade_crossings_ != nullptr) obs_degrade_crossings_->inc();
-    SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
-        "contamination-degrade", "fault", now, "link", id.value(), "pct", pct(after)));
+    if (obs_trace_ != nullptr) obs_trace_->instant(
+        "contamination-degrade", "fault", now, "link", id.value(), "pct", pct(after));
     if (obs_recorder_ != nullptr) {
       obs_recorder_->record(now.count_us(), "contamination-degrade", id.value(), pct(after));
     }
   }
   if (before < thr.flap_contamination && after >= thr.flap_contamination) {
     if (obs_flap_crossings_ != nullptr) obs_flap_crossings_->inc();
-    SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
-        "contamination-flap", "fault", now, "link", id.value(), "pct", pct(after)));
+    if (obs_trace_ != nullptr) obs_trace_->instant(
+        "contamination-flap", "fault", now, "link", id.value(), "pct", pct(after));
     if (obs_recorder_ != nullptr) {
       obs_recorder_->record(now.count_us(), "contamination-flap", id.value(), pct(after));
     }

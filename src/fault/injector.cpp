@@ -387,9 +387,9 @@ void FaultInjector::emit(FaultEvent ev) {
     obs_injected_total_->inc();
     obs_injected_[static_cast<std::size_t>(ev.kind)]->inc();
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
+  if (obs_trace_ != nullptr) obs_trace_->instant(
       to_string(ev.kind), "fault", ev.time, "link", ev.link.value(), "device",
-      ev.device.value()));
+      ev.device.value());
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(ev.time.count_us(), to_string(ev.kind), ev.link.value(),
                           ev.device.value());

@@ -188,9 +188,9 @@ void TechnicianPool::finish_job(JobFom& f) {
     if (r.botched) obs_botched_->inc();
     obs_job_hours_->observe((f.finish_ - f.p_.enqueued).to_hours());
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->complete(
+  if (obs_trace_ != nullptr) obs_trace_->complete(
       to_string(f.p_.job.kind), "technician", f.start_, f.finish_, "ticket", f.p_.job.ticket_id,
-      "botched", r.botched ? 1 : 0));
+      "botched", r.botched ? 1 : 0);
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(f.finish_.count_us(), "technician-job", f.p_.job.ticket_id,
                           static_cast<std::int64_t>(f.p_.job.kind));
@@ -241,9 +241,9 @@ void TechnicianPool::run_legacy(Pending p, net::DeviceId site, sim::TimePoint st
           if (r.botched) obs_botched_->inc();
           obs_job_hours_->observe((finish - p.enqueued).to_hours());
         }
-        SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->complete(
+        if (obs_trace_ != nullptr) obs_trace_->complete(
             to_string(p.job.kind), "technician", start, finish, "ticket", p.job.ticket_id,
-            "botched", r.botched ? 1 : 0));
+            "botched", r.botched ? 1 : 0);
         if (obs_recorder_ != nullptr) {
           obs_recorder_->record(finish.count_us(), "technician-job", p.job.ticket_id,
                                 static_cast<std::int64_t>(p.job.kind));

@@ -52,8 +52,8 @@ std::optional<int> TicketSystem::open(sim::TimePoint now, net::LinkId link,
     obs_opened_->inc();
     obs_backlog_->add(1.0);
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->async_begin(
-      "ticket", "ticket", now, static_cast<std::uint64_t>(t.id), "link", link.value()));
+  if (obs_trace_ != nullptr) obs_trace_->async_begin(
+      "ticket", "ticket", now, static_cast<std::uint64_t>(t.id), "link", link.value());
   if (obs_recorder_ != nullptr) obs_recorder_->record(now.count_us(), "ticket-open", t.id, link.value());
   return t.id;
 }
@@ -97,8 +97,8 @@ void TicketSystem::mark_resolved(int id, sim::TimePoint now, std::string resolve
     obs_backlog_->add(-1.0);
     obs_resolve_hours_->observe((t.resolved - t.opened).to_hours());
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->async_end(
-      "ticket", "ticket", now, static_cast<std::uint64_t>(t.id), "actions", t.actions_taken));
+  if (obs_trace_ != nullptr) obs_trace_->async_end(
+      "ticket", "ticket", now, static_cast<std::uint64_t>(t.id), "actions", t.actions_taken);
   if (obs_recorder_ != nullptr) obs_recorder_->record(now.count_us(), "ticket-resolve", t.id, t.link.value());
   for (const Listener& l : resolved_listeners_) l(t);
 }
@@ -113,8 +113,8 @@ void TicketSystem::mark_cancelled(int id, sim::TimePoint now, std::string reason
     obs_cancelled_->inc();
     obs_backlog_->add(-1.0);
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->async_end(
-      "ticket", "ticket", now, static_cast<std::uint64_t>(t.id), "cancelled", 1));
+  if (obs_trace_ != nullptr) obs_trace_->async_end(
+      "ticket", "ticket", now, static_cast<std::uint64_t>(t.id), "cancelled", 1);
   if (obs_recorder_ != nullptr) obs_recorder_->record(now.count_us(), "ticket-cancel", t.id, t.link.value());
 }
 

@@ -9,46 +9,18 @@ namespace smn::net {
 
 ConnectivityEngine::ConnectivityEngine(const Network& net) : net_{&net} {}
 
-std::int32_t ConnectivityEngine::find(Forest& f, std::int32_t v) {
-  // Path halving: every other node on the walk is re-pointed at its
-  // grandparent, giving the inverse-Ackermann amortized bound without a
-  // second pass.
-  while (f.parent[static_cast<std::size_t>(v)] != v) {
-    auto& p = f.parent[static_cast<std::size_t>(v)];
-    p = f.parent[static_cast<std::size_t>(p)];
-    v = p;
-  }
-  return v;
-}
-
 void ConnectivityEngine::ensure_fresh(Forest& f, const PathPolicy& policy) {
   const std::uint64_t state_gen = net_->state_generation();
   const std::uint64_t structure_gen = net_->structure_generation();
   if (f.state_gen == state_gen && f.structure_gen == structure_gen) return;
 
-  const auto n = static_cast<std::int32_t>(net_->devices().size());
-  f.parent.resize(static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) f.parent[static_cast<std::size_t>(i)] = i;
-  f.size.assign(static_cast<std::size_t>(n), 1);
-
+  f.set.reset(net_->devices().size());
   // Links at an unhealthy device (or dead line card) are already Down —
   // Network::refresh_link folds device health into the derived state — so
   // unioning over usable links alone reproduces the reference BFS's
   // peer-health behaviour exactly.
   for (const Link& l : net_->links()) {
-    if (!link_usable(l, policy)) continue;
-    std::int32_t ra = find(f, l.end_a.device.value());
-    std::int32_t rb = find(f, l.end_b.device.value());
-    if (ra == rb) continue;
-    // Union by size; ties attach the higher-index root under the lower so
-    // the forest shape is a pure function of the link set.
-    if (f.size[static_cast<std::size_t>(ra)] < f.size[static_cast<std::size_t>(rb)] ||
-        (f.size[static_cast<std::size_t>(ra)] == f.size[static_cast<std::size_t>(rb)] &&
-         rb < ra)) {
-      std::swap(ra, rb);
-    }
-    f.parent[static_cast<std::size_t>(rb)] = ra;
-    f.size[static_cast<std::size_t>(ra)] += f.size[static_cast<std::size_t>(rb)];
+    if (link_usable(l, policy)) f.set.unite(l.end_a.device.value(), l.end_b.device.value());
   }
   f.state_gen = state_gen;
   f.structure_gen = structure_gen;
@@ -59,7 +31,7 @@ bool ConnectivityEngine::connected(DeviceId a, DeviceId b, const PathPolicy& pol
   if (a == b) return true;  // matches shortest_path's {from} self-path
   Forest& f = forests_[policy_index(policy)];
   ensure_fresh(f, policy);
-  return find(f, a.value()) == find(f, b.value());
+  return f.set.find(a.value()) == f.set.find(b.value());
 }
 
 void ConnectivityEngine::begin_bfs() {

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/disjoint_set.h"
 #include "net/link.h"
 #include "net/types.h"
 
@@ -65,8 +66,7 @@ class ConnectivityEngine {
 
  private:
   struct Forest {
-    std::vector<std::int32_t> parent;
-    std::vector<std::int32_t> size;
+    DisjointSet set;
     std::uint64_t state_gen = ~std::uint64_t{0};
     std::uint64_t structure_gen = ~std::uint64_t{0};
   };
@@ -75,7 +75,6 @@ class ConnectivityEngine {
     return (p.use_degraded ? 1u : 0u) | (p.use_flapping ? 2u : 0u);
   }
   void ensure_fresh(Forest& f, const PathPolicy& policy);
-  [[nodiscard]] std::int32_t find(Forest& f, std::int32_t v);
   /// Starts a BFS epoch; resets the stamp arrays on device-count change or
   /// epoch wrap so stale marks can never alias a live query.
   void begin_bfs();

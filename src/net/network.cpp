@@ -183,8 +183,8 @@ void Network::observe_transition(const Link& l, LinkState prev, LinkState next) 
     obs_links_impaired_->add(static_cast<double>(is_impaired(next)) -
                              static_cast<double>(is_impaired(prev)));
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
-      to_string(next), "net", sim_->now(), "link", l.id.value(), "prev", static_cast<int>(prev)));
+  if (obs_trace_ != nullptr) obs_trace_->instant(
+      to_string(next), "net", sim_->now(), "link", l.id.value(), "prev", static_cast<int>(prev));
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(sim_->now().count_us(), "link-transition", l.id.value(),
                           static_cast<std::int64_t>(next));

@@ -19,7 +19,8 @@
 //     reachability cache; see net/connectivity.h for its invalidation rules.
 // All four are pure caches over the authoritative device/link state: they
 // never draw randomness or schedule events, so simulation traces are
-// byte-identical with or without them.
+// byte-identical with or without them. The cascade model's tray index keys
+// on `structure_generation` too, so no cache needs a call after `rewire`.
 #pragma once
 
 #include <cstdint>
@@ -165,8 +166,8 @@ class Network {
   /// enables a self-maintaining network will also be able to deploy arbitrary
   /// topologies"): assigns fresh ports, re-routes the cable through the
   /// trays, re-assigns the medium for the new length, and updates the
-  /// embedded blueprint so downstream consumers (cascade adjacency, metrics)
-  /// can re-derive. Hardware condition is reset (it is a new cable run).
+  /// embedded blueprint that the tray index reads, bumping
+  /// `structure_generation`. Hardware condition is reset (a new cable run).
   void rewire(LinkId id, DeviceId new_a, DeviceId new_b);
 
   void set_device_health(DeviceId id, bool healthy);

@@ -5,9 +5,7 @@
 // time; components register their instruments eagerly (stable schema across
 // replicates) and keep raw handles for the hot path. Every pointer here can
 // be null — metrics off, tracing off, recorder off — and instrumented code
-// null-checks once per event, which is the entire disabled cost for metrics
-// and the recorder. Tracing can additionally be compiled out wholesale with
-// -DSMN_OBS_TRACE=OFF (see trace.h).
+// null-checks once per event, which is the entire disabled cost.
 #pragma once
 
 #include <memory>

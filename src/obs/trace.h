@@ -7,11 +7,8 @@
 //
 // Cost model: event names and categories are string literals (const char*
 // stored by pointer, no allocation); recording is a bounds check plus a
-// push_back into a pre-reserved vector. When a build configures
-// -DSMN_OBS_TRACE=OFF, SMN_OBS_TRACE_ENABLED is 0 and the SMN_TRACE_STMT
-// instrumentation macro compiles to nothing — the disabled cost is zero, not
-// "a branch". The TraceBuffer class itself stays defined either way so tests
-// and exporters always compile.
+// push_back into a pre-reserved vector. Call sites hold a TraceBuffer* that
+// stays null unless tracing is on, so the disabled cost is one null check.
 //
 // Concurrency contract: single-owner, no internal locking. A TraceBuffer is
 // confined to its World's thread (one World per sweep worker); smn_analyze's
@@ -25,23 +22,6 @@
 #include <vector>
 
 #include "sim/time.h"
-
-#ifndef SMN_OBS_TRACE_ENABLED
-#define SMN_OBS_TRACE_ENABLED 1
-#endif
-
-#if SMN_OBS_TRACE_ENABLED
-/// Wraps an instrumentation statement; compiled away under -DSMN_OBS_TRACE=OFF.
-/// Usage: SMN_TRACE_STMT(if (obs_) obs_->trace.instant("link-flap", "net", now));
-#define SMN_TRACE_STMT(stmt) \
-  do {                       \
-    stmt;                    \
-  } while (0)
-#else
-#define SMN_TRACE_STMT(stmt) \
-  do {                       \
-  } while (0)
-#endif
 
 namespace smn::obs {
 

@@ -103,20 +103,6 @@ topology::RackLocation RobotFleet::site_of(const Job& job) const {
   return net_.device(dev).location;
 }
 
-int RobotFleet::faceplate_neighbors(net::LinkId link, int end) const {
-  const net::Link& l = net_.link(link);
-  const net::DeviceId dev = end == 0 ? l.end_a.device : l.end_b.device;
-  const int my_port = end == 0 ? l.end_a.port : l.end_b.port;
-  int n = 0;
-  for (const net::LinkId other : net_.links_at(dev)) {
-    if (other == link) continue;
-    const net::Link& o = net_.link(other);
-    const int port = o.end_a.device == dev ? o.end_a.port : o.end_b.port;
-    if (std::abs(port - my_port) <= 2) ++n;
-  }
-  return n;
-}
-
 std::optional<std::size_t> RobotFleet::pick_unit(const topology::RackLocation& site) const {
   // Prefer the tightest scope that covers the site (rack < row < hall): small
   // units are cheaper to tie up and closer to the work.
@@ -159,8 +145,8 @@ void RobotFleet::report_immediate(const Pending& p, const char* performer) {
   r.performer = performer;
   ++escalations_;
   if (obs_escalations_ != nullptr) obs_escalations_->inc();
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->instant(
-      performer, "robot", net_.now(), "ticket", p.job.ticket_id));
+  if (obs_trace_ != nullptr) obs_trace_->instant(
+      performer, "robot", net_.now(), "ticket", p.job.ticket_id);
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(net_.now().count_us(), "robot-escalate", p.job.ticket_id,
                           static_cast<std::int64_t>(p.job.kind));
@@ -246,7 +232,9 @@ void RobotFleet::run(std::size_t unit_index, Pending p) {
 
   const net::Link& l = net_.link(p.job.link);
   const net::TransceiverModel& sku = p.job.end == 0 ? l.end_a.model : l.end_b.model;
-  const int clutter = faceplate_neighbors(p.job.link, p.job.end);
+  const net::DeviceId at = p.job.end == 0 ? l.end_a.device : l.end_b.device;
+  int clutter = 0;
+  cascade_.for_each_faceplate_neighbor(p.job.link, at, [&clutter](net::LinkId) { ++clutter; });
   const int cores = l.cores_per_end();
 
   // Sample the action timeline up front (deterministic given the rng state).
@@ -421,9 +409,9 @@ void RobotFleet::finish_job(JobFom& f) {
     obs_jobs_->inc();
     obs_job_hours_->observe((f.travel_ + f.work_).to_hours());
   }
-  SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->complete(
+  if (obs_trace_ != nullptr) obs_trace_->complete(
       to_string(f.p_.job.kind), "robot", f.start_, f.finish_, "ticket", f.p_.job.ticket_id,
-      "performed", report.performed ? 1 : 0));
+      "performed", report.performed ? 1 : 0);
   if (obs_recorder_ != nullptr) {
     obs_recorder_->record(f.finish_.count_us(), "robot-job", f.p_.job.ticket_id,
                           static_cast<std::int64_t>(f.p_.job.kind));
@@ -484,9 +472,9 @@ void RobotFleet::run_legacy(std::size_t unit_index, Pending p, sim::TimePoint st
       obs_jobs_->inc();
       obs_job_hours_->observe((travel + work).to_hours());
     }
-    SMN_TRACE_STMT(if (obs_trace_ != nullptr) obs_trace_->complete(
+    if (obs_trace_ != nullptr) obs_trace_->complete(
         to_string(p.job.kind), "robot", start, finish, "ticket", p.job.ticket_id, "performed",
-        report.performed ? 1 : 0));
+        report.performed ? 1 : 0);
     if (obs_recorder_ != nullptr) {
       obs_recorder_->record(finish.count_us(), "robot-job", p.job.ticket_id,
                             static_cast<std::int64_t>(p.job.kind));

@@ -188,7 +188,6 @@ class RobotFleet {
                                           const topology::RackLocation& to) const;
   [[nodiscard]] std::optional<std::size_t> pick_unit(const topology::RackLocation& site) const;
   [[nodiscard]] topology::RackLocation site_of(const maintenance::Job& job) const;
-  [[nodiscard]] int faceplate_neighbors(net::LinkId link, int end) const;
 
   void try_dispatch();
   void run(std::size_t unit_index, Pending p);

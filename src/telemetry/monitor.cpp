@@ -169,21 +169,6 @@ void DetectionEngine::scan_link(std::size_t i, sim::TimePoint now) {
   }
 }
 
-void DetectionEngine::step_once() {
-  const sim::TimePoint now = net_.now();
-  const double fp_per_poll = cfg_.false_positive_per_year * cfg_.poll.to_days() / 365.0;
-  for (const net::Link& l : net_.links()) {
-    const std::size_t i = static_cast<size_t>(l.id.value());
-    scan_link(i, now);
-    const LinkWatch& w = state_[i];
-    if (!w.open && !l.admin_down && l.state == net::LinkState::kUp &&
-        rng_.bernoulli(fp_per_poll)) {
-      raise(l.id, IssueKind::kFalsePositive, false);
-      ++false_positives_;
-    }
-  }
-}
-
 void DetectionEngine::push_false_positive(std::size_t i) {
   const double mean_days = 365.0 / cfg_.false_positive_per_year;
   const sim::TimePoint at =
@@ -197,8 +182,7 @@ void DetectionEngine::fire_false_positive(std::size_t i) {
   const net::Link& l = net_.links()[i];
   const LinkWatch& w = state_[i];
   // The Poisson process keeps running either way; an arrival on an impaired,
-  // drained, or already-flagged link is simply absorbed (the per-poll
-  // Bernoulli draw skipped those links the same way).
+  // drained, or already-flagged link is simply absorbed.
   if (!w.open && !l.admin_down && l.state == net::LinkState::kUp) {
     raise(l.id, IssueKind::kFalsePositive, false);
     ++false_positives_;
@@ -210,7 +194,6 @@ void DetectionEngine::raise(net::LinkId id, IssueKind kind, bool genuine) {
   LinkWatch& w = state_.at(static_cast<size_t>(id.value()));
   w.open = true;
   update_watch(static_cast<size_t>(id.value()));
-  ++detections_;
   const Detection d{net_.now(), id, kind, genuine};
   for (const Listener& l : listeners_) l(d);
 }

@@ -12,9 +12,8 @@
 // links that need debounce/self-clear evaluation, and the poll loop — still
 // aligned to the `poll` grid so debounce timing matches the classic
 // poll-scan semantics — is only armed while the watchlist is non-empty.
-// False positives fire from per-link exponential timers (the Poisson process
-// the per-poll Bernoulli draw approximated) instead of a coin flip per link
-// per minute.
+// False positives fire from per-link exponential timers: one Poisson process
+// per link at `false_positive_per_year`.
 //
 // Both timers run as FOMs on the engine's own FomEngine (sim/fom.h): the
 // poll loop is one fom re-armed at grid points while the watchlist is
@@ -85,11 +84,6 @@ class DetectionEngine {
   /// Wires the `sim_wakeups_telemetry_total` counter (pure observer).
   void set_obs(obs::Obs* o);
 
-  /// Manually evaluates every link once (the classic full poll scan,
-  /// including the per-poll false-positive draw) — test/diagnostic entry
-  /// point; the running engine only ever scans its watchlist.
-  void step_once();
-
   void subscribe(Listener l) { listeners_.push_back(std::move(l)); }
 
   /// The repair workflow closes the issue when work on the link completes,
@@ -109,12 +103,7 @@ class DetectionEngine {
   /// Total observed time the link has spent in `s` (including the current
   /// dwell) — predictor feature and availability statistic.
   [[nodiscard]] sim::Duration time_in(net::LinkId id, net::LinkState s) const;
-  [[nodiscard]] std::size_t detection_count() const { return detections_; }
   [[nodiscard]] std::size_t false_positive_count() const { return false_positives_; }
-
-  /// Links currently needing debounce/self-clear evaluation. Empty in steady
-  /// state — the property that makes the day-step cheap.
-  [[nodiscard]] std::size_t watchlist_size() const { return watch_.size(); }
 
  private:
   struct LinkWatch {
@@ -158,8 +147,7 @@ class DetectionEngine {
   void on_transition(const net::Link& l, net::LinkState from, net::LinkState to);
   void raise(net::LinkId id, IssueKind kind, bool genuine);
 
-  // Debounce/self-clear evaluation for one link (the per-link poll body,
-  // minus the false-positive draw).
+  // Debounce/self-clear evaluation for one link.
   void scan_link(std::size_t i, sim::TimePoint now);
   // Inserts/removes link i from the sorted watchlist to match its state.
   void update_watch(std::size_t i);
@@ -176,7 +164,6 @@ class DetectionEngine {
   sim::FomEngine fom_engine_;
   std::vector<LinkWatch> state_;
   std::vector<Listener> listeners_;
-  std::size_t detections_ = 0;
   std::size_t false_positives_ = 0;
 
   bool running_ = false;

@@ -6,18 +6,6 @@
 
 namespace smn::topology {
 
-std::size_t CampusBlueprint::node_count() const {
-  std::size_t n = 0;
-  for (const Blueprint& h : halls) n += h.nodes().size();
-  return n;
-}
-
-std::size_t CampusBlueprint::link_count() const {
-  std::size_t n = 0;
-  for (const Blueprint& h : halls) n += h.links().size();
-  return n;
-}
-
 void CampusBlueprint::validate() const {
   const int n = static_cast<int>(halls.size());
   for (const CrossHallLink& l : cross_links) {

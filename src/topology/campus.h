@@ -38,11 +38,6 @@ struct CampusBlueprint {
   std::vector<CrossHallLink> cross_links;
 
   [[nodiscard]] bool empty() const { return halls.empty(); }
-  [[nodiscard]] std::size_t hall_count() const { return halls.size(); }
-
-  /// Total devices / links across all halls (cross trunks excluded).
-  [[nodiscard]] std::size_t node_count() const;
-  [[nodiscard]] std::size_t link_count() const;
 
   /// Throws std::logic_error on dangling hall indices, self-loops, or
   /// non-positive cross-link latency (lookahead = 0 is unschedulable).

@@ -4,8 +4,9 @@
 #include <cmath>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
+
+#include "topology/tray_index.h"
 
 namespace smn::topology {
 
@@ -15,7 +16,6 @@ WiringStats compute_wiring_stats(const Blueprint& bp) {
   if (st.links == 0) return st;
 
   std::set<long> length_classes;
-  std::unordered_map<TraySegment, std::vector<int>, TraySegmentHash> segment_cables;
   std::set<std::pair<long, long>> rack_pairs;
   auto rack_key = [](const RackLocation& loc) {
     return (static_cast<long>(loc.hall) << 40) ^ (static_cast<long>(loc.row) << 20) ^ loc.rack;
@@ -41,39 +41,30 @@ WiringStats compute_wiring_stats(const Blueprint& bp) {
     st.total_length_m += l.route.length_m;
     st.max_length_m = std::max(st.max_length_m, l.route.length_m);
     length_classes.insert(static_cast<long>(std::ceil(l.route.length_m)));
-    for (const TraySegment& seg : l.route.segments) {
-      segment_cables[seg].push_back(li);
-    }
   }
   st.mean_length_m = st.total_length_m / static_cast<double>(st.links);
   st.length_classes = length_classes.size();
   st.distinct_rack_pairs = rack_pairs.size();
 
-  if (!segment_cables.empty()) {
-    double occ_sum = 0;
-    for (const auto& [seg, cables] : segment_cables) {
-      occ_sum += static_cast<double>(cables.size());
-      st.max_tray_occupancy =
-          std::max(st.max_tray_occupancy, static_cast<double>(cables.size()));
-    }
-    st.mean_tray_occupancy = occ_sum / static_cast<double>(segment_cables.size());
+  const TrayIndex trays{bp};
+  for (std::size_t seg = 0; seg < trays.segment_count(); ++seg) {
+    const auto cables = static_cast<double>(trays.occupancy(seg));
+    st.mean_tray_occupancy += cables;
+    st.max_tray_occupancy = std::max(st.max_tray_occupancy, cables);
+  }
+  if (trays.segment_count() > 0) {
+    st.mean_tray_occupancy /= static_cast<double>(trays.segment_count());
   }
 
-  // Adjacency: for each cable, the set of other cables sharing a segment.
-  std::vector<std::unordered_set<int>> neighbors(bp.links().size());
-  for (const auto& [seg, cables] : segment_cables) {
-    for (const int a : cables) {
-      for (const int b : cables) {
-        if (a != b) neighbors[static_cast<size_t>(a)].insert(b);
-      }
-    }
+  // Adjacency: for each cable, the other cables sharing a segment.
+  std::vector<std::int32_t> mates;
+  for (std::size_t li = 0; li < st.links; ++li) {
+    trays.mates(static_cast<std::int32_t>(li), mates);
+    const auto adjacent = static_cast<double>(mates.size());
+    st.mean_adjacent_cables += adjacent;
+    st.max_adjacent_cables = std::max(st.max_adjacent_cables, adjacent);
   }
-  double adj_sum = 0;
-  for (const auto& n : neighbors) {
-    adj_sum += static_cast<double>(n.size());
-    st.max_adjacent_cables = std::max(st.max_adjacent_cables, static_cast<double>(n.size()));
-  }
-  st.mean_adjacent_cables = adj_sum / static_cast<double>(st.links);
+  st.mean_adjacent_cables /= static_cast<double>(st.links);
   return st;
 }
 

@@ -37,9 +37,6 @@ struct RackLocation {
 /// 3D point in meters; x runs along a row, y across rows, z up.
 struct Point {
   double x = 0, y = 0, z = 0;
-  [[nodiscard]] double distance_to(const Point& o) const {
-    return std::sqrt((x - o.x) * (x - o.x) + (y - o.y) * (y - o.y) + (z - o.z) * (z - o.z));
-  }
 };
 
 /// One segment of the overhead tray system. Cables whose routes share
@@ -52,17 +49,6 @@ struct TraySegment {
   int slot = 0;  // for kRiser: rack index; for kRowTray: rack-pitch slot; kSpineTray: 0
 
   auto operator<=>(const TraySegment&) const = default;
-};
-
-struct TraySegmentHash {
-  std::size_t operator()(const TraySegment& s) const {
-    std::uint64_t v = (static_cast<std::uint64_t>(s.kind) << 56) ^
-                      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.hall)) << 40) ^
-                      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.row)) << 20) ^
-                      static_cast<std::uint32_t>(s.slot);
-    v = (v ^ (v >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    return static_cast<std::size_t>(v ^ (v >> 27));
-  }
 };
 
 /// The route a cable takes through the tray system, plus its total length.
@@ -94,9 +80,6 @@ class PhysicalLayout {
   explicit PhysicalLayout(Config cfg);
 
   [[nodiscard]] const Config& config() const { return cfg_; }
-  [[nodiscard]] int total_racks() const {
-    return cfg_.halls * cfg_.rows_per_hall * cfg_.racks_per_row;
-  }
 
   /// True if the location is inside the configured building.
   [[nodiscard]] bool contains(const RackLocation& loc) const;

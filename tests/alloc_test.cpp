@@ -7,7 +7,8 @@
 //   * the storage data plane: the healthy-fabric clean-read tick;
 //   * the survivability frontier: make_ordering + replay, both failure modes,
 //     and aggregation, whose allocations do not grow with the curve length;
-//   * the campus exchange: barriers, gathers and cross-hall deliveries.
+//   * the campus exchange: barriers, gathers and cross-hall deliveries;
+//   * the tray index: tray-mate queries into a reused buffer.
 //
 // The counter is a program-wide replacement of global operator new, so these
 // tests build as their own executable (smn_alloc_tests) and never share a
@@ -31,6 +32,7 @@
 #include "storage/data_plane.h"
 #include "topology/builders.h"
 #include "topology/campus.h"
+#include "topology/tray_index.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -200,6 +202,23 @@ TEST(ZeroAlloc, SurvivabilityReplayBothModes) {
         << " steady-state replays";
     EXPECT_EQ(curves.largest_component.size(), engine.element_count(mode) + 1);
   }
+}
+
+TEST(ZeroAlloc, TrayMates) {
+  const topology::Blueprint bp = topology::build_fat_tree({.k = 8});
+  const topology::TrayIndex index{bp};
+  const auto links = static_cast<std::int32_t>(bp.links().size());
+  std::vector<std::int32_t> mates;
+  for (std::int32_t l = 0; l < links; ++l) index.mates(l, mates);  // warm-up
+
+  const std::uint64_t before = allocs();
+  std::size_t total = 0;
+  for (std::int32_t l = 0; l < links; ++l) {
+    index.mates(l, mates);
+    total += mates.size();
+  }
+  EXPECT_EQ(allocs() - before, 0u) << "heap allocations across " << links << " mates queries";
+  EXPECT_GT(total, 0u);
 }
 
 TEST(ZeroAlloc, SurvivabilityAggregationIsFlatInCurveLength) {

@@ -316,10 +316,8 @@ TEST(ObsWorld, WorldMetricsSeeSimulationTraffic) {
   EXPECT_GT(value_of(snap, "net_link_transitions_total"), 0.0);
   EXPECT_GT(value_of(snap, "tickets_opened_total"), 0.0);
   EXPECT_GT(value_of(snap, "controller_detections_total"), 0.0);
-#if SMN_OBS_TRACE_ENABLED
   ASSERT_NE(world.obs().trace(), nullptr);
   EXPECT_GT(world.obs().trace()->size(), 0u);
-#endif
 }
 
 }  // namespace

@@ -175,19 +175,5 @@ TEST_F(ReconfigureFixture, ApplyViaFleetRequiresCableCapability) {
   for (const net::Link& l : net.links()) EXPECT_FALSE(l.admin_down);
 }
 
-TEST_F(ReconfigureFixture, CascadeAdjacencyCanBeRebuiltAfterRewire) {
-  fault::Environment env;
-  fault::FaultInjector injector{net, env, rngs.stream("inj")};
-  fault::CascadeModel cascade{net, env, injector, rngs.stream("c")};
-  const auto leaves = net.devices_with_role(topology::NodeRole::kTorSwitch);
-  const auto spines = net.devices_with_role(topology::NodeRole::kSpineSwitch);
-  const net::LinkId lid = net.links_between(leaves[0], spines[0])[0];
-  net.rewire(lid, leaves[3], spines[1]);
-  cascade.rebuild_adjacency();  // must not throw, and contacts stay self-free
-  const auto contacts =
-      cascade.predicted_contacts(fault::Disturbance{lid, leaves[3], 1.0, true});
-  for (const net::LinkId c : contacts) EXPECT_NE(c, lid);
-}
-
 }  // namespace
 }  // namespace smn::core
