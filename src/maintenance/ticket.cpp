@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/check.h"
 
@@ -155,7 +154,8 @@ std::size_t TicketSystem::count(TicketState s) const {
 }
 
 void TicketSystem::check_invariants() const {
-  std::unordered_set<std::int32_t> links_in_flight;
+  std::vector<std::int32_t>& links_in_flight = check_in_flight_;
+  links_in_flight.clear();
   for (std::size_t i = 0; i < tickets_.size(); ++i) {
     const Ticket& t = tickets_[i];
     SMN_ASSERT(t.id == static_cast<int>(i), "ticket %zu holds id %d", i, t.id);
@@ -181,10 +181,13 @@ void TicketSystem::check_invariants() const {
         break;
     }
     if (t.state != TicketState::kResolved && t.state != TicketState::kCancelled) {
-      SMN_ASSERT(links_in_flight.insert(t.link.value()).second,
-                 "two in-flight tickets for link %d (dedup broken)", t.link.value());
+      links_in_flight.push_back(t.link.value());
     }
   }
+  std::sort(links_in_flight.begin(), links_in_flight.end());
+  const auto dup = std::adjacent_find(links_in_flight.begin(), links_in_flight.end());
+  SMN_ASSERT(dup == links_in_flight.end(), "two in-flight tickets for link %d (dedup broken)",
+             *dup);
 }
 
 std::size_t TicketSystem::repeat_ticket_count(sim::Duration window) const {

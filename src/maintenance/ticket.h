@@ -95,7 +95,8 @@ class TicketSystem {
   /// indices, per-state timestamps must be monotone (opened ≤ dispatched ≤
   /// started ≤ resolved where set), closed tickets must name a resolver, and
   /// at most one non-closed ticket may exist per link (the dedup invariant
-  /// `open` relies on).
+  /// `open` relies on). Allocates nothing once its scratch has grown to the
+  /// in-flight ticket count.
   void check_invariants() const;
 
  private:
@@ -103,6 +104,8 @@ class TicketSystem {
 
   std::vector<Ticket> tickets_;
   std::vector<Listener> resolved_listeners_;
+  // check_invariants scratch: links of in-flight tickets, reused.
+  mutable std::vector<std::int32_t> check_in_flight_;
 
   // Observability handles (all null until set_obs). The backlog gauge tracks
   // tickets that are neither resolved nor cancelled.

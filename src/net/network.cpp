@@ -146,6 +146,8 @@ LinkState Network::refresh_link(LinkId id) {
   if (next != l.state) {
     const LinkState prev = l.state;
     l.state = next;
+    links_down_ += static_cast<std::size_t>(next == LinkState::kDown);
+    links_down_ -= static_cast<std::size_t>(prev == LinkState::kDown);
     // Stamp before notifying: an observer that issues a reachability query
     // must see the post-change forest, not a stale cache.
     ++state_generation_;
@@ -164,7 +166,7 @@ void Network::set_obs(obs::Obs* o) {
     obs_links_impaired_ = reg->gauge("net_links_impaired");
     // Seed the gauges from the current fleet so incremental ±1 maintenance in
     // observe_transition starts from truth, not zero.
-    obs_links_down_->set(static_cast<double>(count_links(LinkState::kDown)));
+    obs_links_down_->set(static_cast<double>(links_down_));
     obs_links_impaired_->set(static_cast<double>(count_links(LinkState::kDegraded) +
                                                  count_links(LinkState::kFlapping)));
   }
@@ -295,10 +297,12 @@ void Network::check_invariants() const {
     return id.valid() && id.value() < static_cast<std::int32_t>(devices_.size());
   };
   const auto unit_interval = [](double v) { return v >= 0.0 && v <= 1.0; };
+  std::size_t down = 0;
   for (std::size_t i = 0; i < links_.size(); ++i) {
     const Link& l = links_[i];
     SMN_ASSERT(l.id.value() == static_cast<std::int32_t>(i), "link %zu holds id %d", i,
                l.id.value());
+    down += static_cast<std::size_t>(l.state == LinkState::kDown);
     SMN_ASSERT(in_range(l.end_a.device) && in_range(l.end_b.device),
                "link %d endpoints (%d, %d) out of range", l.id.value(), l.end_a.device.value(),
                l.end_b.device.value());
@@ -317,10 +321,12 @@ void Network::check_invariants() const {
                "link %d non-physical length %f / capacity %f", l.id.value(), l.length_m,
                l.capacity_gbps);
   }
+  SMN_ASSERT(down == links_down_, "Down-link count %zu != recount %zu", links_down_, down);
 
   // The adjacency index must mirror link endpoints exactly: each link appears
   // once in each endpoint's row and nowhere else.
-  std::vector<int> seen(links_.size(), 0);
+  std::vector<int>& seen = check_seen_;
+  seen.assign(links_.size(), 0);
   for (std::size_t dev = 0; dev < device_links_.size(); ++dev) {
     for (const LinkId lid : device_links_[dev]) {
       SMN_ASSERT(lid.valid() && lid.value() < static_cast<std::int32_t>(links_.size()),

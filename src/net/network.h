@@ -191,6 +191,8 @@ class Network {
   void set_obs(obs::Obs* o);
 
   [[nodiscard]] std::size_t count_links(LinkState s) const;
+  /// Links currently Down; kept by refresh_link, so reading it costs nothing.
+  [[nodiscard]] std::size_t links_down() const { return links_down_; }
   /// True if a link's traffic can pass (not Down).
   [[nodiscard]] bool usable(LinkId id) const { return link(id).state != LinkState::kDown; }
 
@@ -200,8 +202,10 @@ class Network {
 
   /// Aborts (via SMN_ASSERT) on referential-integrity violations: id/index
   /// agreement, endpoint device ids in range, the device→links adjacency
-  /// mirroring link endpoints exactly, and physical conditions within their
-  /// documented ranges (contamination/oxidation/wear ∈ [0, 1]).
+  /// mirroring link endpoints exactly, the Down-link count agreeing with a
+  /// recount, and physical conditions within their documented ranges
+  /// (contamination/oxidation/wear ∈ [0, 1]). Linear in devices and links;
+  /// allocates nothing once its scratch has grown to the link table.
   void check_invariants() const;
 
  private:
@@ -231,6 +235,9 @@ class Network {
   std::unordered_map<std::uint64_t, std::vector<LinkId>> link_groups_;
   std::uint64_t state_generation_ = 0;
   std::uint64_t structure_generation_ = 0;
+  std::size_t links_down_ = 0;  // links whose state is Down
+  // check_invariants scratch: adjacency appearances per link, reused.
+  mutable std::vector<int> check_seen_;
   mutable CsrAdjacency csr_;
   mutable std::uint64_t csr_structure_generation_ = ~std::uint64_t{0};
   mutable std::unique_ptr<ConnectivityEngine> connectivity_;

@@ -175,8 +175,7 @@ void Campus::exchange(sim::TimePoint barrier) {
         dst.world->simulator().schedule_at(m.sent + latency, [dom = &dst, gbps = m.gbps] {
           if (dom->rx_flows != nullptr) dom->rx_flows->inc();
           if (dom->rx_gbps != nullptr) dom->rx_gbps->observe(gbps);
-          const bool impaired =
-              dom->world->network().count_links(net::LinkState::kDown) > 0;
+          const bool impaired = dom->world->network().links_down() > 0;
           if (impaired && dom->rx_degraded != nullptr) dom->rx_degraded->inc();
         });
         break;

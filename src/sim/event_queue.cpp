@@ -161,13 +161,16 @@ void Simulator::cancel_periodic(EventId handle) {
 }
 
 void Simulator::fold_trace(TimePoint t, std::uint64_t seq, EventId id) {
-  constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+  // One xor-multiply-xorshift round per 64-bit word: three dependent
+  // multiplies per event. With an odd multiplier each round is a bijection in
+  // the running hash and in the word, so a change to one field of one event
+  // always changes the final hash. Integer-only, so the value is the same on
+  // every standard library.
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
   const std::uint64_t words[3] = {static_cast<std::uint64_t>(t.count_us()), seq, id};
   for (const std::uint64_t w : words) {
-    for (int byte = 0; byte < 8; ++byte) {
-      trace_hash_ ^= (w >> (8 * byte)) & 0xffu;
-      trace_hash_ *= kFnvPrime;
-    }
+    trace_hash_ = (trace_hash_ ^ w) * kMul;
+    trace_hash_ ^= trace_hash_ >> 32;
   }
 }
 
@@ -222,7 +225,8 @@ void Simulator::run() {
 
 void Simulator::check_invariants() const {
   // Heap property and per-slot reference counts.
-  std::vector<std::uint8_t> referenced(slots_.size(), 0);
+  std::vector<std::uint8_t>& referenced = check_referenced_;
+  referenced.assign(slots_.size(), 0);
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     if (i > 0) {
       const std::size_t parent = (i - 1) / 4;

@@ -64,10 +64,11 @@ class Simulator {
   [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// FNV-1a hash over (time, seq, id) of every event executed so far — the
-  /// determinism audit signal. Two runs with identical seeds and configs must
-  /// produce identical hashes; divergence means a nondeterminism bug
-  /// (hash-order iteration, uninitialized read, wall-clock leak).
+  /// Hash over (time, seq, id) of every event executed so far, folded as
+  /// three 64-bit words per event (see fold_trace) — the determinism audit
+  /// signal. Two runs with identical seeds and configs must produce identical
+  /// hashes; divergence means a nondeterminism bug (hash-order iteration,
+  /// uninitialized read, wall-clock leak).
   [[nodiscard]] std::uint64_t trace_hash() const { return trace_hash_; }
 
   /// Wires observability into the event loop: `events` counts executed
@@ -84,7 +85,8 @@ class Simulator {
   /// heap must satisfy the 4-ary heap property, reference each occupied slot
   /// exactly once, and agree with the live/free-list accounting; cancelled
   /// slots must hold no callback (eager reclaim); the clock must not have
-  /// moved backwards.
+  /// moved backwards. Linear in slots and heap entries; allocates nothing
+  /// once its scratch has grown to the slot arena.
   void check_invariants() const;
 
  private:
@@ -157,7 +159,9 @@ class Simulator {
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::uint64_t trace_hash_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  std::uint64_t trace_hash_ = 0xcbf29ce484222325ull;  // initial value: FNV-1a's basis
+  // check_invariants scratch: heap references per slot, reused across sweeps.
+  mutable std::vector<std::uint8_t> check_referenced_;
   obs::Counter* obs_events_ = nullptr;
   obs::FlightRecorder* obs_recorder_ = nullptr;
 };

@@ -276,18 +276,41 @@ void StripePool::check_invariants() const {
       const bool tracked_ok = serving_.at(dev) != 0;
       SMN_ASSERT(((st.failed >> u) & 1u) == (tracked_ok ? 0u : 1u),
                  "stripe %zu unit %zu failure bit disagrees with serving flag", s, u);
-      for (std::size_t v = u + 1; v < st.units.size(); ++v) {
-        SMN_ASSERT(st.units[u] != st.units[v], "stripe %zu reuses a server", s);
-      }
-      bool indexed = false;
-      for (const Hosted& h : hosted_.at(dev)) {
-        indexed = indexed || (h.stripe == s && h.unit == u);
-      }
-      SMN_ASSERT(indexed, "stripe %zu unit %zu missing from the host index", s, u);
     }
   }
   SMN_ASSERT(dirty == dirty_count_, "dirty count %zu != flagged stripes %zu", dirty_count_,
              dirty);
+
+  // The host index, checked from its own side in one pass: every entry names
+  // a unit placed on its device, no (stripe, unit) is named twice, and no
+  // device lists two units of one stripe. If every unit is then named, units
+  // and entries match one to one.
+  std::vector<IndexMark>& marks = check_marks_;
+  marks.assign(stripes_.size(), IndexMark{});
+  for (std::size_t dev = 0; dev < hosted_.size(); ++dev) {
+    for (const Hosted& h : hosted_[dev]) {
+      SMN_ASSERT(h.stripe < stripes_.size() && static_cast<int>(h.unit) < width(),
+                 "host index entry (stripe %u, unit %u) on device %zu out of range", h.stripe,
+                 static_cast<unsigned>(h.unit), dev);
+      SMN_ASSERT(static_cast<std::size_t>(stripes_[h.stripe].units[h.unit].value()) == dev,
+                 "host index lists stripe %u unit %u on device %zu, which does not host it",
+                 h.stripe, static_cast<unsigned>(h.unit), dev);
+      IndexMark& mark = marks[h.stripe];
+      const std::uint32_t bit = 1u << h.unit;
+      SMN_ASSERT((mark.named & bit) == 0, "stripe %u unit %u named twice in the host index",
+                 h.stripe, static_cast<unsigned>(h.unit));
+      mark.named |= bit;
+      SMN_ASSERT(mark.last_device != static_cast<std::int32_t>(dev),
+                 "stripe %zu reuses a server", static_cast<std::size_t>(h.stripe));
+      mark.last_device = static_cast<std::int32_t>(dev);
+    }
+  }
+  const std::uint32_t all_units = width() == 32 ? ~0u : (1u << width()) - 1u;
+  for (std::size_t s = 0; s < stripes_.size(); ++s) {
+    SMN_ASSERT(marks[s].named == all_units, "stripe %zu unit %d missing from the host index",
+               s, std::countr_one(marks[s].named));
+  }
+
   // The incremental serving flags must agree with a fresh derivation — a
   // missed Network transition would silently freeze a stripe's health.
   for (std::size_t dev = 0; dev < hosted_.size(); ++dev) {

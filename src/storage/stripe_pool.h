@@ -108,12 +108,19 @@ class StripePool {
 
   /// Cross-component invariant sweep (failed masks vs serving flags, dirty
   /// bookkeeping, index integrity). Aborts via SMN_ASSERT on corruption.
+  /// Linear in units plus host-index entries; allocates nothing once its
+  /// scratch has grown to the stripe count.
   void check_invariants() const;
 
  private:
   struct Hosted {
     std::uint32_t stripe = 0;
     std::uint16_t unit = 0;
+  };
+  /// check_invariants' per-stripe view of the host index.
+  struct IndexMark {
+    std::uint32_t named = 0;        // bit u set: some entry names unit u
+    std::int32_t last_device = -1;  // device of the latest entry naming the stripe
   };
 
   void build_layout(sim::RngStream& rng);
@@ -135,6 +142,7 @@ class StripePool {
   std::uint64_t dirty_transitions_ = 0;
   std::uint64_t stripes_lost_ever_ = 0;
   std::size_t rebuild_cursor_ = 0;  // round-robin start for target choice
+  mutable std::vector<IndexMark> check_marks_;  // check_invariants scratch, reused
 };
 
 }  // namespace smn::storage

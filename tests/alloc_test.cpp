@@ -8,6 +8,7 @@
 //   * the survivability frontier: make_ordering + replay, both failure modes,
 //     and aggregation, whose allocations do not grow with the curve length;
 //   * the campus exchange: barriers, gathers and cross-hall deliveries;
+//   * the World invariant sweep, storage data plane included;
 //   * the tray index: tray-mate queries into a reused buffer.
 //
 // The counter is a program-wide replacement of global operator new, so these
@@ -15,6 +16,7 @@
 // process with smn_tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -24,9 +26,11 @@
 #include "analysis/survivability.h"
 #include "fault/environment.h"
 #include "fault/injector.h"
+#include "maintenance/ticket.h"
 #include "net/network.h"
 #include "runner/presets.h"
 #include "scenario/campus.h"
+#include "scenario/world.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "storage/data_plane.h"
@@ -250,11 +254,52 @@ TEST(ZeroAlloc, SurvivabilityAggregationIsFlatInCurveLength) {
   EXPECT_EQ(allocs_of_one_call(standard), allocs_of_one_call(small));
 }
 
+TEST(ZeroAlloc, WorldInvariantSweep) {
+  // The sweep a World runs every 6 simulated hours: once one call has grown
+  // each component's scratch, further calls touch no heap.
+  constexpr int kSweeps = 100;
+  const auto sweep_allocs = [](const scenario::World& world) {
+    world.check_invariants();  // warm-up
+    const std::uint64_t before = allocs();
+    for (int i = 0; i < kSweeps; ++i) world.check_invariants();
+    return allocs() - before;
+  };
+
+  // The standard hall at L0, stopped at the first 6-hour mark with closed
+  // tickets behind it and at least two in flight (dispatched or in progress).
+  scenario::World hall{runner::standard_fabric(),
+                       runner::standard_world(core::AutomationLevel::kL0_Manual, 3)};
+  const maintenance::TicketSystem& tickets = hall.tickets();
+  const auto closed = [&] {
+    return tickets.count(maintenance::TicketState::kResolved) +
+           tickets.count(maintenance::TicketState::kCancelled);
+  };
+  for (int i = 0; i < 240 && (closed() == 0 || tickets.total() - closed() < 2); ++i) {
+    hall.run_for(sim::Duration::hours(6));
+  }
+  ASSERT_GT(closed(), 0u);
+  ASSERT_GE(tickets.total() - closed(), 2u);
+  EXPECT_EQ(sweep_allocs(hall), 0u) << "heap allocations across " << kSweeps
+                                    << " sweeps of the standard hall";
+
+  // One E19 storage fabric: the gpu cluster, where 16 servers host all
+  // 64 x 10 units.
+  const runner::SweepSpec e19 = runner::storage_sweep(sim::Duration::days(10), 1, 1);
+  const auto gpu = std::find_if(e19.cells.begin(), e19.cells.end(),
+                                [](const runner::CellSpec& c) { return c.name == "gpu/human"; });
+  ASSERT_NE(gpu, e19.cells.end());
+  scenario::World fabric{gpu->blueprint, gpu->config};
+  fabric.run_for(sim::Duration::days(10));
+  ASSERT_TRUE(fabric.has_storage());
+  EXPECT_EQ(sweep_allocs(fabric), 0u) << "heap allocations across " << kSweeps
+                                      << " sweeps of the E19 gpu fabric";
+}
+
 TEST(ZeroAlloc, CampusExchange) {
   // A coupled campus whose halls never fault: what runs is the coordinator —
   // the barriers at the 30-minute traffic instants, the gathers and the
-  // cross-hall deliveries — plus each hall's idle event loop. The invariant
-  // sweep is off because Simulator::check_invariants allocates its scratch.
+  // cross-hall deliveries — plus each hall's idle event loop and its
+  // invariant sweep.
   topology::CampusParams params;
   params.halls = 4;
   params.hall = {.leaves = 2, .spines = 1, .servers_per_leaf = 1};
@@ -268,7 +313,6 @@ TEST(ZeroAlloc, CampusExchange) {
   cfg.hall.faults.linecard_afr = 0.0;
   cfg.hall.faults.gray_rate_per_year = 0.0;
   cfg.hall.contamination.mean_accumulation_per_day = 0.0;
-  cfg.hall.invariant_interval = sim::Duration::zero();
   cfg.traffic_period = sim::Duration::minutes(30);
   cfg.spare_audit_period = sim::Duration::hours(3);
   scenario::Campus campus{topology::build_campus(params), cfg};

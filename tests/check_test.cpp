@@ -9,6 +9,8 @@
 #include "net/network.h"
 #include "scenario/world.h"
 #include "sim/event_queue.h"
+#include "sim/rng.h"
+#include "storage/stripe_pool.h"
 #include "topology/builders.h"
 
 namespace smn {
@@ -80,6 +82,23 @@ TEST(CheckDeathTest, NetworkDetectsOutOfRangeContamination) {
                        {}, sim};
   network.link_mut(net::LinkId{0}).end_b.condition.contamination = 1.5;
   EXPECT_DEATH(network.check_invariants(), "out of \\[0,1\\]");
+}
+
+TEST(CheckDeathTest, StripePoolDetectsReusedServer) {
+  sim::Simulator sim;
+  net::Network network{topology::build_leaf_spine({.leaves = 2, .spines = 2, .servers_per_leaf = 2}),
+                       {}, sim};
+  const std::vector<net::DeviceId>& servers = network.servers();
+  ASSERT_GE(servers.size(), 4u);
+  storage::StripePool::Config cfg;
+  cfg.data_units = 2;
+  // 2+1 stripes: stripe 0 is legal; stripe 1 puts both data units on one
+  // server.
+  cfg.explicit_placements = {{servers[0], servers[1], servers[2]},
+                             {servers[3], servers[3], servers[0]}};
+  sim::RngStream rng = sim::RngFactory{1}.stream("unused");
+  const storage::StripePool pool{network, rng, cfg};
+  EXPECT_DEATH(pool.check_invariants(), "stripe 1 reuses a server");
 }
 
 TEST(Check, TicketInvariantsHoldThroughLifecycle) {

@@ -300,6 +300,27 @@ TEST(Simulator, CheckInvariantsHoldsThroughMixedLoad) {
   EXPECT_GT(fired, 0);
 }
 
+// The trace fold is integer-only, so this constant holds on any standard
+// library. The schedule covers two instants, two events at one instant
+// (folded in schedule order) and a cancelled event, which folds nothing.
+TEST(Simulator, TraceHashIsPinned) {
+  const auto trace_of = [](std::int64_t first_shift_us) {
+    Simulator sim;
+    const TimePoint t0 = TimePoint::origin();
+    sim.schedule_at(t0 + Duration::seconds(1) + Duration::microseconds(first_shift_us), [] {});
+    const EventId cancelled = sim.schedule_at(t0 + Duration::seconds(2), [] {});
+    sim.schedule_at(t0 + Duration::seconds(3), [] {});
+    sim.schedule_at(t0 + Duration::seconds(3), [] {});
+    sim.cancel(cancelled);
+    sim.run();
+    EXPECT_EQ(sim.events_processed(), 3u);
+    return sim.trace_hash();
+  };
+  EXPECT_EQ(trace_of(0), 0x9c1bb25db02b8a0cull);
+  // Moving one event by 1 us changes one word of the fold.
+  EXPECT_NE(trace_of(1), trace_of(0));
+}
+
 TEST(Rng, SameSeedSameStreamIsReproducible) {
   RngFactory f1{12345};
   RngFactory f2{12345};
